@@ -51,47 +51,3 @@ from .metrics import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Pmf",
-    "TypedPmf",
-    "UnboundedRatioError",
-    "entropy",
-    "kl_divergence",
-    "variational_distance",
-    "kl_tv_bound",
-    "min_type_order",
-    "Codebook",
-    "LeafDistribution",
-    "CodebookError",
-    "PrefixViolationError",
-    "IncompleteCodebookError",
-    "DuplicateLeafError",
-    "validate_complete",
-    "leaf_distribution",
-    "product_codebook",
-    "BalanceReport",
-    "build_tunstall",
-    "check_balance",
-    "is_valid_size",
-    "round_size_down",
-    "quantize",
-    "brute_force_quantize",
-    "ResolutionCode",
-    "StreamResult",
-    "BitSourceExhausted",
-    "RandomBitSource",
-    "ArrayBitSource",
-    "FileBitSource",
-    "build_code",
-    "encode_word",
-    "induced_distribution",
-    "generate_stream",
-    "build_block_code",
-    "RateReport",
-    "BoundCheck",
-    "rate_report",
-    "bound_suite",
-    "convergence_probe",
-    "sqrt_gap_policy",
-]

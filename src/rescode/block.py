@@ -9,14 +9,14 @@ reference the variable-length scheme is measured against.
 from __future__ import annotations
 
 from . import mtype
-from .codetree import DEFAULT_MAX_LEAVES, leaf_distribution, product_codebook
+from .codetree import leaf_distribution, product_codebook
 from .f2v import MAX_INPUT_BITS, ResolutionCode, _assemble
 from .probdist import Pmf
 
 __all__ = ["build_block_code"]
 
 
-def build_block_code(p: Pmf, n: int, m: int, *, max_leaves: int = DEFAULT_MAX_LEAVES) -> ResolutionCode:
+def build_block_code(p: Pmf, n: int, m: int) -> ResolutionCode:
     """m-bit-to-n-symbol block code over the product codebook.
 
     The rate is exactly m/n bits per symbol; the divergence is that of the
@@ -25,7 +25,7 @@ def build_block_code(p: Pmf, n: int, m: int, *, max_leaves: int = DEFAULT_MAX_LE
     m = int(m)
     if not 1 <= m <= MAX_INPUT_BITS:
         raise ValueError(f"input length must be in [1, {MAX_INPUT_BITS}] bits")
-    codebook = product_codebook(p.alphabet_size, n, max_leaves=max_leaves)
+    codebook = product_codebook(p.alphabet_size, n)
     target = leaf_distribution(p, codebook)
     counts = mtype.quantize(target.leaf_probs, 1 << m)
     return _assemble("b2b", p, target, m, counts)

@@ -72,6 +72,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _reachable_size(d: int, size: int, round_size: bool) -> int:
+    """The requested codebook size, or with round_size the largest valid one below it."""
+    if tunstall.is_valid_size(d, size):
+        return size
+    if not round_size:
+        raise SystemExit2(
+            f"codebook size {size} is not reachable for alphabet size {d}; pass --round-size to round down"
+        )
+    return tunstall.round_size_down(d, size)
+
+
 def _gnuplot_layout(rows: list[tuple], target_entropy: float) -> str:
     lines = [f"# target_entropy_bits = {target_entropy!r}", "# columns: rate kl_bits N"]
     seen = []
@@ -123,14 +134,7 @@ def cmd_curve(args) -> int:
                     sizes_by_m[m].add(int(extra))
             for m in m_values:
                 for size in sorted(sizes_by_m[m]):
-                    if not tunstall.is_valid_size(d, size):
-                        if not args.round_size:
-                            raise SystemExit2(
-                                f"codebook size {size} is not reachable for alphabet size {d}; "
-                                f"pass --round-size to round down"
-                            )
-                        size = tunstall.round_size_down(d, size)
-                    jobs.append(("f2v", m, size, tuple(p.probs)))
+                    jobs.append(("f2v", m, _reachable_size(d, size, args.round_size), tuple(p.probs)))
 
     try:
         if args.jobs > 1:
@@ -157,15 +161,7 @@ def cmd_curve(args) -> int:
 def _build_f2v_from_args(args) -> f2v.ResolutionCode:
     if args.symbols < 1:
         raise SystemExit2("--symbols must be at least 1")
-    size = args.size
-    if not tunstall.is_valid_size(args.p.alphabet_size, size):
-        if not args.round_size:
-            raise SystemExit2(
-                f"codebook size {size} is not reachable for alphabet size "
-                f"{args.p.alphabet_size}; pass --round-size to round down"
-            )
-        size = tunstall.round_size_down(args.p.alphabet_size, size)
-    return f2v.build_code(args.p, size, args.m)
+    return f2v.build_code(args.p, _reachable_size(args.p.alphabet_size, args.size, args.round_size), args.m)
 
 
 def _bit_source(args):
@@ -208,11 +204,15 @@ def _stream_all(code, source, min_symbols: int):
 
 def _pack_symbols(symbols: np.ndarray, d: int) -> bytes:
     bits_per = max(1, math.ceil(math.log2(d)))
-    bits = ((symbols[:, None].astype(np.uint8) >> np.arange(bits_per - 1, -1, -1)) & 1).reshape(-1)
+    shifts = np.arange(bits_per - 1, -1, -1, dtype=symbols.dtype)
+    bits = ((symbols[:, None] >> shifts) & 1).reshape(-1)
     return np.packbits(bits).tobytes()
 
 
 def cmd_generate(args) -> int:
+    if args.format == "text" and args.p.alphabet_size > 10:
+        raise SystemExit2("text output writes one digit per symbol, so it needs at most 10 symbols; "
+                          "use --format packed")
     code = _build_f2v_from_args(args)
     source = _bit_source(args)
     result, exhausted = _stream_all(code, source, args.symbols)

@@ -31,8 +31,8 @@ __all__ = [
 #: default bound on path length for user-supplied leaf sets
 DEFAULT_MAX_LEN = 64
 
-#: default cap on the number of leaves a product codebook may have
-DEFAULT_MAX_LEAVES = 1 << 20
+#: cap on the number of leaves a product codebook may have
+MAX_PRODUCT_LEAVES = 1 << 20
 
 
 class CodebookError(ValueError):
@@ -71,20 +71,6 @@ class Codebook:
     def max_len(self) -> int:
         return max(len(x) for x in self.leaves)
 
-    def to_json(self) -> dict:
-        """JSON form {"d": D, "leaves": ["010", ...]} with digit-string paths."""
-        if self.alphabet_size > 10:
-            raise ValueError("digit-string serialization requires alphabet size <= 10")
-        return {
-            "d": self.alphabet_size,
-            "leaves": ["".join(str(s) for s in x) for x in self.leaves],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Codebook":
-        leaves = [tuple(int(ch) for ch in path) for path in obj["leaves"]]
-        return validate_complete(leaves, int(obj["d"]), max_len=None)
-
 
 @dataclass(frozen=True, eq=False)
 class LeafDistribution:
@@ -97,12 +83,6 @@ class LeafDistribution:
     codebook: Codebook
     leaf_probs: np.ndarray
     expected_len: float
-
-    def to_json(self) -> dict:
-        """Codebook JSON plus the target probabilities in leaf order."""
-        out = self.codebook.to_json()
-        out["target_probs"] = [float(x) for x in self.leaf_probs]
-        return out
 
 
 def validate_complete(leaves, alphabet_size: int, *, max_len: int | None = DEFAULT_MAX_LEN) -> Codebook:
@@ -163,14 +143,14 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), expected_len=expected)
 
 
-def product_codebook(alphabet_size: int, n: int, *, max_leaves: int = DEFAULT_MAX_LEAVES) -> Codebook:
+def product_codebook(alphabet_size: int, n: int) -> Codebook:
     """All D^n paths of length n, in lexicographic order."""
     d = int(alphabet_size)
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
     if n < 1:
         raise ValueError("block length must be at least 1")
-    if d**n > max_leaves:
-        raise ValueError(f"product codebook would have {d**n} leaves, above the cap {max_leaves}")
+    if d**n > MAX_PRODUCT_LEAVES:
+        raise ValueError(f"product codebook would have {d**n} leaves, above the cap {MAX_PRODUCT_LEAVES}")
     leaves = tuple(itertools.product(range(d), repeat=n))
     return Codebook(alphabet_size=d, leaves=leaves)

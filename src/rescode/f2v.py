@@ -70,30 +70,6 @@ class ResolutionCode:
     def num_codewords(self) -> int:
         return len(self.target.codebook)
 
-    def to_json(self) -> dict:
-        out = self.codebook.to_json()
-        out.update(
-            {
-                "scheme": self.scheme,
-                "p": [float(x) for x in self.source.probs],
-                "m": self.m,
-                "N": self.num_codewords,
-                "target_probs": [float(x) for x in self.target.leaf_probs],
-                "counts": [int(c) for c in self.counts.counts],
-            }
-        )
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "ResolutionCode":
-        codebook = Codebook.from_json(obj)
-        probs = np.asarray(obj["target_probs"], dtype=float)
-        expected = float((probs * codebook.lengths()).sum())
-        target = LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), expected_len=expected)
-        m = int(obj["m"])
-        counts = TypedPmf(1 << m, obj["counts"])
-        return _assemble(str(obj["scheme"]), Pmf(obj["p"]), target, m, counts)
-
 
 def _assemble(scheme: str, p: Pmf, target: LeafDistribution, m: int, counts: TypedPmf) -> ResolutionCode:
     cum = np.concatenate(([0], np.cumsum(counts.counts, dtype=np.int64)))
@@ -130,17 +106,17 @@ def encode_word(code: ResolutionCode, u: int) -> tuple[int, ...]:
 
 
 def induced_distribution(code: ResolutionCode) -> TypedPmf:
-    """Distribution of codewords over uniform input words.
+    """Distribution of codewords over all 2^m input words, by enumeration.
 
-    For m up to EXHAUSTIVE_BITS all 2^m inputs are enumerated; the result
-    always equals the stored counts (the map is built from them).
+    Only defined for m up to EXHAUSTIVE_BITS; the result always equals the
+    stored counts (the map is built from them).
     """
-    if code.m <= EXHAUSTIVE_BITS:
-        words = np.arange(1 << code.m, dtype=np.int64)
-        idx = np.searchsorted(code.cum, words, side="right") - 1
-        hist = np.bincount(idx, minlength=code.num_codewords)
-        return TypedPmf(1 << code.m, hist)
-    return code.counts
+    if code.m > EXHAUSTIVE_BITS:
+        raise ValueError(f"exhaustive enumeration needs m <= {EXHAUSTIVE_BITS}, got m = {code.m}")
+    words = np.arange(1 << code.m, dtype=np.int64)
+    idx = np.searchsorted(code.cum, words, side="right") - 1
+    hist = np.bincount(idx, minlength=code.num_codewords)
+    return TypedPmf(1 << code.m, hist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +216,7 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     lengths = code.codebook.lengths()
     flat = np.fromiter(
         (s for leaf in code.codebook.leaves for s in leaf),
-        dtype=np.uint8,
+        dtype=np.min_scalar_type(code.codebook.alphabet_size - 1),
         count=int(lengths.sum()),
     )
     starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]

@@ -41,8 +41,7 @@ class RateReport:
 
     All rates and divergences are in bits; lengths are in output symbols.
     ``exp_len`` is the expected codeword length under the generated
-    distribution; ``target_exp_len`` (diagnostic) weights by the target
-    leaf distribution instead.
+    distribution.
     """
 
     scheme: str
@@ -60,9 +59,6 @@ class RateReport:
     px_entropy: float
     max_prob: float
     exp_len: float
-    target_exp_len: float
-    target_entropy: float
-    min_type_m: int
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,6 @@ def rate_report(code: ResolutionCode, p: Pmf) -> RateReport:
     px = code.counts.probs()
     exp_len = float((px * lengths).sum())
     px_entropy = entropy(code.counts)
-    min_m = min_type_order(code.counts)
     kl = kl_divergence(code.counts, code.target.leaf_probs)
     # 2^-q = N / 2^m, computed from the integers to avoid re-rounding
     two_pow_neg_q = code.num_codewords / float(1 << code.m)
@@ -91,7 +86,7 @@ def rate_report(code: ResolutionCode, p: Pmf) -> RateReport:
         q_bits=code.q_bits,
         rate=code.m / exp_len,
         entropy_rate=px_entropy / exp_len,
-        hv_rate=math.log2(min_m) / exp_len,
+        hv_rate=math.log2(min_type_order(code.counts)) / exp_len,
         kl=kl,
         kl_normalized=kl / exp_len,
         kl_bound=two_pow_neg_q * LOG2E / mu,
@@ -99,9 +94,6 @@ def rate_report(code: ResolutionCode, p: Pmf) -> RateReport:
         px_entropy=px_entropy,
         max_prob=float(px.max()),
         exp_len=exp_len,
-        target_exp_len=code.target.expected_len,
-        target_entropy=entropy(p),
-        min_type_m=min_m,
     )
 
 

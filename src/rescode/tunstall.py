@@ -72,18 +72,8 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
     items = sorted((path, -neg) for neg, path in heap)
     codebook = validate_complete([path for path, _ in items], d, max_len=None)
     probs = np.array([prob for _, prob in items], dtype=float)
-    _verify_leaf_probs(pv, codebook.leaves, probs)
     expected = float((probs * codebook.lengths()).sum())
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), expected_len=expected)
-
-
-def _verify_leaf_probs(pv: np.ndarray, leaves, probs: np.ndarray) -> None:
-    # Recompute in log space; catches multiplicative drift during construction.
-    logs = np.log2(pv)
-    for x, prob in zip(leaves, probs):
-        ref = 2.0 ** float(sum(logs[s] for s in x))
-        if abs(prob - ref) > 1e-12 * max(ref, 1e-300):
-            raise RuntimeError(f"leaf probability drift at {x}: {prob!r} vs {ref!r}")
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class TestBuildBlockCode:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            build_block_code(Pmf([0.5, 0.5]), 21, 4, max_leaves=2**20)
+            build_block_code(Pmf([0.5, 0.5]), 21, 4)
 
 
 class TestSharedInvariants:

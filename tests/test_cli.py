@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from rescode import cli
+from rescode import Pmf, RandomBitSource, build_code, cli, generate_stream
 
 
 def run(capsys, argv):
@@ -145,6 +146,26 @@ class TestGenerate:
         width = 8 * len(out_path.read_bytes())
         assert packed >> (width - len(bits)) == int(bits, 2)
 
+    def test_text_rejects_more_than_ten_symbols(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--p", ",".join([repr(1 / 12)] * 12), "--m", "6", "--size", "12",
+                      "--symbols", "21", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--format packed" in capsys.readouterr().err
+
+    def test_packed_alphabet_above_256(self, capsys, tmp_path):
+        # 300 symbols need 9 bits each and a symbol table wider than one byte
+        probs = ",".join([repr(1 / 300)] * 300)
+        out_path = tmp_path / "sym.bin"
+        code, _, _ = run(capsys, ["generate", "--p", probs, "--m", "10", "--size", "300", "--symbols", "1000",
+                                  "--seed", "1", "--format", "packed", "--out", str(out_path)])
+        assert code == 0
+        bits = np.unpackbits(np.frombuffer(out_path.read_bytes(), dtype=np.uint8))[: 1000 * 9]
+        symbols = bits.reshape(1000, 9).astype(np.int64) @ (1 << np.arange(8, -1, -1))
+        expected = generate_stream(build_code(Pmf([1 / 300] * 300), 300, 10), RandomBitSource(1), 1000)
+        assert np.array_equal(symbols, expected.symbols)
+        assert symbols.max() >= 256
+
 
 class TestValidate:
     def test_exhaustive_pass(self, capsys):
@@ -167,6 +188,13 @@ class TestValidate:
                                     "--symbols", "1000", "--seed", "5", "--tv-threshold", "0.01"])
         assert code == 1
         assert out.strip().endswith("FAIL")
+
+    def test_alphabet_above_256(self, capsys):
+        probs = ",".join([repr(1 / 300)] * 300)
+        code, out, _ = run(capsys, ["validate", "--p", probs, "--m", "10", "--size", "300",
+                                    "--symbols", "100000", "--seed", "1", "--tv-threshold", "0.1"])
+        assert code == 0
+        assert "exhaustive_induced_equals_counts=True" in out
 
 
 class TestQuantizeCommand:

@@ -1,11 +1,9 @@
-import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rescode import (
-    Codebook,
     DuplicateLeafError,
     IncompleteCodebookError,
     Pmf,
@@ -111,7 +109,7 @@ class TestProductCodebook:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            product_codebook(2, 12, max_leaves=1000)
+            product_codebook(2, 21)
 
     def test_matches_product_distribution(self):
         p = Pmf([0.3, 0.2, 0.5])
@@ -120,15 +118,3 @@ class TestProductCodebook:
         for _ in range(4):
             expected = np.kron(expected, p.probs)
         assert np.max(np.abs(ld.leaf_probs - expected)) < 1e-12
-
-
-class TestJson:
-    def test_round_trip(self):
-        cb = validate_complete([(0, 0), (0, 1), (1,)], 2)
-        blob = json.dumps(cb.to_json(), sort_keys=True)
-        again = Codebook.from_json(json.loads(blob))
-        assert again.leaves == cb.leaves
-        assert json.dumps(again.to_json(), sort_keys=True) == blob
-
-    def test_digit_strings(self):
-        assert validate_complete([(0,), (1, 0), (1, 1)], 2).to_json()["leaves"] == ["0", "10", "11"]

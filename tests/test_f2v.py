@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from rescode import (
     FileBitSource,
     Pmf,
     RandomBitSource,
-    ResolutionCode,
     build_code,
     encode_word,
     entropy,
@@ -84,6 +82,11 @@ class TestInducedDistribution:
             code = build_code(p, n_cw, m)
             assert np.array_equal(induced_distribution(code).counts, code.counts.counts)
 
+    def test_beyond_exhaustive_range_is_rejected(self):
+        code = build_code(Pmf([0.5, 0.5]), 2, 17)
+        with pytest.raises(ValueError, match="exhaustive"):
+            induced_distribution(code)
+
 
 class TestInvariants:
     def test_input_entropy_dominates_output(self):
@@ -107,21 +110,10 @@ class TestInvariants:
 
     def test_deterministic_json(self):
         p = Pmf([0.211, 0.789])
-        a = json.dumps(build_code(p, 48, 9).to_json(), sort_keys=True)
-        b = json.dumps(build_code(p, 48, 9).to_json(), sort_keys=True)
-        assert a == b
-
-    def test_json_round_trip(self, running_code):
-        blob = json.dumps(running_code.to_json(), sort_keys=True)
-        again = ResolutionCode.from_json(json.loads(blob))
-        assert json.dumps(again.to_json(), sort_keys=True) == blob
-        assert list(again.cum) == list(running_code.cum)
-
-    def test_json_rejects_inconsistent_counts(self, running_code):
-        blob = running_code.to_json()
-        blob["counts"] = [4, 1, 2]  # does not sum to 2^m
-        with pytest.raises(ValueError):
-            ResolutionCode.from_json(blob)
+        a, b = build_code(p, 48, 9), build_code(p, 48, 9)
+        assert a.codebook.leaves == b.codebook.leaves
+        assert np.array_equal(a.target.leaf_probs, b.target.leaf_probs)
+        assert np.array_equal(a.counts.counts, b.counts.counts)
 
 
 class TestGenerateStream:

@@ -28,7 +28,6 @@ class TestRateReport:
         assert r.rate == pytest.approx(3 / 1.75, abs=1e-12)
         assert r.px_entropy == pytest.approx(1.29879, abs=1e-5)
         assert r.entropy_rate == pytest.approx(0.74217, abs=1e-5)
-        assert r.min_type_m == 8
         assert r.hv_rate == pytest.approx(3 / 1.75, abs=1e-12)
         assert r.kl == pytest.approx(0.014583, abs=1e-5)
         # kl_bound = 2^-q * log2(e) / mu with 2^-q = N/2^m = 3/8
@@ -51,10 +50,6 @@ class TestRateReport:
         r = running_report
         assert r.kl_normalized == pytest.approx(r.kl / r.exp_len, abs=1e-15)
         assert r.kl_normalized <= r.kl
-
-    def test_target_weighted_length_diagnostic(self, running_report):
-        # E[len] under the target leaf probs (0.64, 0.16, 0.2) is 1.8
-        assert running_report.target_exp_len == pytest.approx(1.8, abs=1e-12)
 
 
 class TestBoundSuite:

@@ -1,7 +1,9 @@
-import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescode import (
     Pmf,
@@ -10,6 +12,7 @@ from rescode import (
     is_valid_size,
     leaf_distribution,
     round_size_down,
+    validate_complete,
 )
 
 
@@ -59,13 +62,8 @@ class TestBuild:
         p = Pmf([0.211, 0.789])
         a = build_tunstall(p, 101)
         b = build_tunstall(p, 101)
-        assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
-
-    def test_json_carries_target_probs_in_leaf_order(self):
-        ld = build_tunstall(Pmf([0.8, 0.2]), 3)
-        blob = ld.to_json()
-        assert blob["leaves"] == ["00", "01", "1"]
-        assert blob["target_probs"] == pytest.approx([0.64, 0.16, 0.2], abs=1e-15)
+        assert a.codebook.leaves == b.codebook.leaves
+        assert np.array_equal(a.leaf_probs, b.leaf_probs)
 
     def test_agrees_with_recomputed_leaf_distribution(self):
         rng = np.random.default_rng(3)
@@ -132,3 +130,30 @@ class TestBalance:
             p = full_support_pmf(rng, d)
             ld = build_tunstall(p, random_valid_size(rng, d, upper=1024))
             assert check_balance(ld, p.mu()).ok
+
+
+@st.composite
+def tunstall_instances(draw):
+    """A full-support p with D in 2..4 and any valid size N <= 2^10."""
+    weights = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=4))
+    p = Pmf(np.asarray(weights) / math.fsum(weights))
+    d = p.alphabet_size
+    k = draw(st.integers(min_value=0, max_value=((1 << 10) - d) // (d - 1)))
+    return p, d + k * (d - 1)
+
+
+class TestProperties:
+    """Facts the construction guarantees, checked here instead of on every build."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(tunstall_instances())
+    def test_complete_exact_and_balanced(self, instance):
+        p, n = instance
+        ld = build_tunstall(p, n)
+        assert len(ld.codebook) == n
+        assert validate_complete(ld.codebook.leaves, p.alphabet_size, max_len=None).leaves == ld.codebook.leaves
+        logs = np.log2(p.probs)
+        for x, prob in zip(ld.codebook.leaves, ld.leaf_probs):
+            ref = 2.0 ** math.fsum(logs[s] for s in x)
+            assert abs(prob - ref) <= 1e-12 * ref, x
+        assert check_balance(ld, p.mu()).ok
