@@ -172,34 +172,23 @@ def _bit_source(args):
     return f2v.RandomBitSource(args.seed)
 
 
-def _stream_all(code, source, min_symbols: int):
-    """Generate until at least min_symbols symbols; returns aggregate result."""
-    chunks = []
-    leaf_counts = np.zeros(code.num_codewords, dtype=np.int64)
-    input_bits = 0
-    total = 0
-    exhausted = False
-    lengths = code.codebook.lengths()
-    mean_len = float((code.counts.probs() * lengths).sum())
+def _stream_all(code, source, min_symbols: int) -> f2v.StreamResult:
+    """Generate at least min_symbols symbols; fewer only when the source runs out."""
+    results, total = [], 0
     while total < min_symbols:
-        remaining = min_symbols - total
-        k = max(1, int(remaining / max(mean_len, 1e-9)) + 1)
         try:
-            res = f2v.generate_stream(code, source, k)
+            res = f2v.generate_stream(code, source, int((min_symbols - total) / code.exp_len) + 1)
         except f2v.BitSourceExhausted as exc:
-            res = exc.result
-            exhausted = True
-        chunks.append(res.symbols)
-        leaf_counts += res.leaf_counts
-        input_bits += res.input_bits
-        total += res.output_symbols
-        if exhausted:
+            results.append(exc.result)
             break
-    symbols = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
-    result = f2v.StreamResult(
-        symbols=symbols, input_bits=input_bits, output_symbols=total, leaf_counts=leaf_counts
+        results.append(res)
+        total += res.output_symbols
+    return f2v.StreamResult(
+        symbols=np.concatenate([r.symbols for r in results]),
+        input_bits=sum(r.input_bits for r in results),
+        output_symbols=sum(r.output_symbols for r in results),
+        leaf_counts=sum(r.leaf_counts for r in results),
     )
-    return result, exhausted
 
 
 def _pack_symbols(symbols: np.ndarray, d: int) -> bytes:
@@ -215,7 +204,7 @@ def cmd_generate(args) -> int:
                           "use --format packed")
     code = _build_f2v_from_args(args)
     source = _bit_source(args)
-    result, exhausted = _stream_all(code, source, args.symbols)
+    result = _stream_all(code, source, args.symbols)
 
     if args.format == "packed":
         payload = _pack_symbols(result.symbols, code.codebook.alphabet_size)
@@ -240,7 +229,7 @@ def cmd_generate(args) -> int:
         f"empirical_rate={rate!r}",
         file=sys.stderr,
     )
-    if exhausted and result.output_symbols < args.symbols:
+    if result.output_symbols < args.symbols:
         print("bit source exhausted before the requested symbol count", file=sys.stderr)
         return 1
     return 0
@@ -249,8 +238,8 @@ def cmd_generate(args) -> int:
 def cmd_validate(args) -> int:
     code = _build_f2v_from_args(args)
     source = _bit_source(args)
-    result, exhausted = _stream_all(code, source, args.symbols)
-    if exhausted and result.output_symbols < args.symbols:
+    result = _stream_all(code, source, args.symbols)
+    if result.output_symbols < args.symbols:
         print("bit source exhausted before the requested symbol count", file=sys.stderr)
         return 1
 
@@ -345,7 +334,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit2:
         raise
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

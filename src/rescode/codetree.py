@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +58,11 @@ class IncompleteCodebookError(CodebookError):
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """A complete prefix-free codebook: D and its leaf paths, sorted."""
+    """A complete prefix-free codebook: D and its leaf paths, sorted.
+
+    ``lengths`` (int64) and ``table``, the leaves as a zero-padded
+    ``[N, max_len]`` symbol matrix, are built on first use and read-only.
+    """
 
     alphabet_size: int
     leaves: tuple[tuple[int, ...], ...]
@@ -65,11 +70,20 @@ class Codebook:
     def __len__(self) -> int:
         return len(self.leaves)
 
+    @cached_property
     def lengths(self) -> np.ndarray:
-        return np.array([len(x) for x in self.leaves], dtype=np.int64)
+        return _frozen(np.array([len(x) for x in self.leaves], dtype=np.int64))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        dtype = np.min_scalar_type(self.alphabet_size - 1)
+        flat = np.fromiter(itertools.chain.from_iterable(self.leaves), dtype=dtype, count=int(self.lengths.sum()))
+        table = np.zeros((len(self), self.max_len()), dtype=dtype)
+        table[np.arange(table.shape[1]) < self.lengths[:, None]] = flat
+        return _frozen(table)
 
     def max_len(self) -> int:
-        return max(len(x) for x in self.leaves)
+        return int(self.lengths.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +96,10 @@ class LeafDistribution:
 
     codebook: Codebook
     leaf_probs: np.ndarray
-    expected_len: float
+
+    @property
+    def expected_len(self) -> float:
+        return float((self.leaf_probs * self.codebook.lengths).sum())
 
 
 def validate_complete(leaves, alphabet_size: int, *, max_len: int | None = DEFAULT_MAX_LEN) -> Codebook:
@@ -139,8 +156,7 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
         for s in x:
             acc *= pv[s]
         probs[i] = acc
-    expected = float((probs * codebook.lengths()).sum())
-    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), expected_len=expected)
+    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs))
 
 
 def product_codebook(alphabet_size: int, n: int) -> Codebook:

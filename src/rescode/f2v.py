@@ -70,6 +70,11 @@ class ResolutionCode:
     def num_codewords(self) -> int:
         return len(self.target.codebook)
 
+    @property
+    def exp_len(self) -> float:
+        """Expected codeword length under the 2^m-type codeword distribution."""
+        return float((self.counts.probs() * self.codebook.lengths).sum())
+
 
 def _assemble(scheme: str, p: Pmf, target: LeafDistribution, m: int, counts: TypedPmf) -> ResolutionCode:
     cum = np.concatenate(([0], np.cumsum(counts.counts, dtype=np.int64)))
@@ -194,10 +199,11 @@ class RandomBitSource:
 def _take_words(source, count: int, width: int) -> np.ndarray:
     bits = source.take_bits(count * width)
     full = bits.size // width
-    if full == 0:
-        return np.empty(0, dtype=np.int64)
-    weights = (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
-    return bits[: full * width].reshape(full, width).astype(np.int64) @ weights
+    words = np.zeros(full, dtype=np.int64)
+    for column in bits[: full * width].reshape(full, width).T:
+        words <<= 1
+        words |= column
+    return words
 
 
 def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamResult:
@@ -211,26 +217,13 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
         raise ValueError("number of codewords must be nonnegative")
     words = _take_words(bits, k, code.m)
     idx = np.searchsorted(code.cum, words, side="right") - 1
-    leaf_counts = np.bincount(idx, minlength=code.num_codewords)
-
-    lengths = code.codebook.lengths()
-    flat = np.fromiter(
-        (s for leaf in code.codebook.leaves for s in leaf),
-        dtype=np.min_scalar_type(code.codebook.alphabet_size - 1),
-        count=int(lengths.sum()),
-    )
-    starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-    out_len = lengths[idx]
-    total = int(out_len.sum())
-    out_starts = np.concatenate(([0], np.cumsum(out_len)))[:-1]
-    pos = np.arange(total, dtype=np.int64) - np.repeat(out_starts, out_len) + np.repeat(starts[idx], out_len)
-    symbols = flat[pos]
-
+    table = code.codebook.table
+    symbols = table[idx][np.arange(table.shape[1]) < code.codebook.lengths[idx][:, None]]
     result = StreamResult(
         symbols=symbols,
         input_bits=int(words.size) * code.m,
-        output_symbols=total,
-        leaf_counts=leaf_counts,
+        output_symbols=int(symbols.size),
+        leaf_counts=np.bincount(idx, minlength=code.num_codewords),
     )
     if words.size < k:
         raise BitSourceExhausted(result)

@@ -71,9 +71,8 @@ class BoundCheck:
 def rate_report(code: ResolutionCode, p: Pmf) -> RateReport:
     """Evaluate every reported quantity for a built code over its target p."""
     mu = p.mu()
-    lengths = code.codebook.lengths()
     px = code.counts.probs()
-    exp_len = float((px * lengths).sum())
+    exp_len = code.exp_len
     px_entropy = entropy(code.counts)
     kl = kl_divergence(code.counts, code.target.leaf_probs)
     # 2^-q = N / 2^m, computed from the integers to avoid re-rounding

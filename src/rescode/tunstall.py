@@ -32,13 +32,15 @@ def is_valid_size(alphabet_size: int, num_codewords: int) -> bool:
     """True when a D-ary Tunstall tree with exactly this many leaves exists."""
     d = int(alphabet_size)
     n = int(num_codewords)
-    return n >= d and (n - d) % (d - 1) == 0
+    return d >= 2 and n >= d and (n - d) % (d - 1) == 0
 
 
 def round_size_down(alphabet_size: int, num_codewords: int) -> int:
     """Largest valid codebook size not exceeding num_codewords."""
     d = int(alphabet_size)
     n = int(num_codewords)
+    if d < 2:
+        raise ValueError("alphabet size must be at least 2")
     if n < d:
         raise ValueError(f"no valid codebook size <= {n} for alphabet size {d}")
     return d + ((n - d) // (d - 1)) * (d - 1)
@@ -72,8 +74,7 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
     items = sorted((path, -neg) for neg, path in heap)
     codebook = validate_complete([path for path, _ in items], d, max_len=None)
     probs = np.array([prob for _, prob in items], dtype=float)
-    expected = float((probs * codebook.lengths()).sum())
-    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), expected_len=expected)
+    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs))
 
 
 @dataclass(frozen=True)

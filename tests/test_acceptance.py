@@ -215,7 +215,7 @@ def test_criterion_8_statistical_generation():
     code = build_code(TARGET, 3072, 12)
     r = rate_report(code, TARGET)
     source = RandomBitSource(42)
-    mean_len = float((code.counts.probs() * code.codebook.lengths()).sum())
+    mean_len = code.exp_len
     total = 0
     input_bits = 0
     leaf_counts = np.zeros(code.num_codewords, dtype=np.int64)

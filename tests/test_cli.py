@@ -197,6 +197,36 @@ class TestValidate:
         assert "exhaustive_induced_equals_counts=True" in out
 
 
+def exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("round_size", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--p", "1.0", "--m", "4", "--size", "4", "--symbols", "10", "--seed", "1"],
+        ["curve", "--p", "1.0", "--m", "4", "--n-list", "2", "--schemes", "f2v"],
+    ], ids=["generate", "curve"])
+    def test_single_symbol_alphabet(self, capsys, argv, round_size):
+        assert exit_code(argv + ["--round-size"] * round_size) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--bits-file", "{missing}"],
+        ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--seed", "1",
+         "--out", "{missing}"],
+        ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--out", "{missing}"],
+    ], ids=["bits-file", "generate-out", "curve-out"])
+    def test_bad_path(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "no-such-dir" / "x")
+        assert exit_code([arg.format(missing=missing) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no-such-dir" in err
+
+
 class TestQuantizeCommand:
     def test_prints_counts_and_kl(self, capsys):
         code, out, _ = run(capsys, ["quantize", "--q", "0.64,0.16,0.2", "--M", "8"])

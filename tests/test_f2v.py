@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescode import (
     ArrayBitSource,
@@ -163,3 +166,58 @@ class TestGenerateStream:
         emp = res.leaf_counts / res.leaf_counts.sum()
         tv = np.abs(emp - code.counts.probs()).sum()
         assert tv < 0.02
+
+    def test_peak_memory_per_symbol(self):
+        # one call of about 1e6 symbols on the experiment code; per-symbol
+        # int64 temporaries would cost 8 B each
+        code = build_code(Pmf([0.211, 0.789]), 3072, 12)
+        source = RandomBitSource(42)
+        tracemalloc.start()
+        try:
+            res = generate_stream(code, source, int(1e6 / code.exp_len))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / res.output_symbols < 10
+
+
+@st.composite
+def stream_instances(draw):
+    """A code (full-support p, D in 2..4, valid N <= 2^8, 2^m >= N, m <= 12),
+    a bit string of whole words plus a partial one, and chunk sizes summing
+    to the word count."""
+    weights = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=4))
+    p = Pmf(np.asarray(weights) / math.fsum(weights))
+    d = p.alphabet_size
+    n = d + draw(st.integers(min_value=0, max_value=((1 << 8) - d) // (d - 1))) * (d - 1)
+    m = draw(st.integers(min_value=max(1, (n - 1).bit_length()), max_value=12))
+    words = draw(st.integers(min_value=0, max_value=40))
+    bits = draw(st.lists(st.integers(0, 1), min_size=words * m, max_size=words * m + m - 1))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=words), max_size=4)))
+    chunks = np.diff([0, *cuts, words]).tolist()
+    return build_code(p, n, m), bits, chunks
+
+
+class TestStreamProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(stream_instances())
+    def test_matches_per_word_oracle_in_any_chunking(self, instance):
+        code, bits, chunks = instance
+        m, words = code.m, sum(chunks)
+        index = {leaf: i for i, leaf in enumerate(code.codebook.leaves)}
+        leaves = [encode_word(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2)) for j in range(words)]
+        expected = [s for leaf in leaves for s in leaf]
+        expected_counts = np.bincount([index[leaf] for leaf in leaves], minlength=code.num_codewords)
+
+        one = generate_stream(code, ArrayBitSource(bits), words)
+        assert one.symbols.tolist() == expected
+        assert np.array_equal(one.leaf_counts, expected_counts)
+        assert one.input_bits == words * m
+        assert one.output_symbols == len(expected)
+
+        source = ArrayBitSource(bits)
+        parts = [generate_stream(code, source, k) for k in chunks]
+        assert np.concatenate([r.symbols for r in parts]).tolist() == expected
+        assert np.array_equal(sum(r.leaf_counts for r in parts), expected_counts)
+        assert sum(r.input_bits for r in parts) == one.input_bits
+        assert sum(r.output_symbols for r in parts) == one.output_symbols

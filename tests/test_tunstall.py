@@ -57,6 +57,9 @@ class TestBuild:
         assert not is_valid_size(3, 4)
         assert round_size_down(3, 4096) == 4095
         assert round_size_down(2, 17) == 17
+        assert not is_valid_size(1, 4)
+        with pytest.raises(ValueError, match="at least 2"):
+            round_size_down(1, 4)
 
     def test_deterministic_rebuild(self):
         p = Pmf([0.211, 0.789])
