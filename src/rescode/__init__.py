@@ -39,6 +39,7 @@ from .f2v import (
     encode_word,
     generate_stream,
     induced_distribution,
+    stream,
 )
 from .block import build_block_code
 from .metrics import (

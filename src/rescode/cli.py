@@ -12,11 +12,10 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -60,12 +59,14 @@ def _format_row(row: tuple) -> str:
     return ",".join([scheme, str(m), str(n)] + [repr(float(v)) for v in row[3:]])
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rescode-")
+@contextlib.contextmanager
+def _atomic_write(path: str):
+    """A binary handle on a new file beside path (umask mode), renamed over path on success."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".rescode-{os.urandom(6).hex()}")
+    handle = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -76,7 +77,7 @@ def _reachable_size(d: int, size: int, round_size: bool) -> int:
     """The requested codebook size, or with round_size the largest valid one below it."""
     if tunstall.is_valid_size(d, size):
         return size
-    if not round_size:
+    if not round_size and d >= 2:
         raise SystemExit2(
             f"codebook size {size} is not reachable for alphabet size {d}; pass --round-size to round down"
         )
@@ -138,6 +139,7 @@ def cmd_curve(args) -> int:
 
     try:
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_curve_point, jobs))
         else:
@@ -148,9 +150,11 @@ def cmd_curve(args) -> int:
 
     text = CSV_HEADER + "\n" + "".join(_format_row(row) + "\n" for row in rows)
     if args.out:
-        _atomic_write(args.out, text)
+        with _atomic_write(args.out) as handle:
+            handle.write(text.encode())
         if args.emit_gnuplot:
-            _atomic_write(args.out + ".gnuplot", _gnuplot_layout(rows, entropy(p)))
+            with _atomic_write(args.out + ".gnuplot") as handle:
+                handle.write(_gnuplot_layout(rows, entropy(p)).encode())
     else:
         if args.emit_gnuplot:
             raise SystemExit2("--emit-gnuplot requires --out")
@@ -172,30 +176,16 @@ def _bit_source(args):
     return f2v.RandomBitSource(args.seed)
 
 
-def _stream_all(code, source, min_symbols: int) -> f2v.StreamResult:
-    """Generate at least min_symbols symbols; fewer only when the source runs out."""
-    results, total = [], 0
-    while total < min_symbols:
-        try:
-            res = f2v.generate_stream(code, source, int((min_symbols - total) / code.exp_len) + 1)
-        except f2v.BitSourceExhausted as exc:
-            results.append(exc.result)
-            break
-        results.append(res)
-        total += res.output_symbols
-    return f2v.StreamResult(
-        symbols=np.concatenate([r.symbols for r in results]),
-        input_bits=sum(r.input_bits for r in results),
-        output_symbols=sum(r.output_symbols for r in results),
-        leaf_counts=sum(r.leaf_counts for r in results),
-    )
-
-
 def _pack_symbols(symbols: np.ndarray, d: int) -> bytes:
     bits_per = max(1, math.ceil(math.log2(d)))
     shifts = np.arange(bits_per - 1, -1, -1, dtype=symbols.dtype)
     bits = ((symbols[:, None] >> shifts) & 1).reshape(-1)
     return np.packbits(bits).tobytes()
+
+
+def _text_lines(symbols: np.ndarray) -> bytes:
+    digits = "".join(str(int(s)) for s in symbols)
+    return "".join(digits[i : i + 64] + "\n" for i in range(0, len(digits), 64)).encode()
 
 
 def cmd_generate(args) -> int:
@@ -204,32 +194,24 @@ def cmd_generate(args) -> int:
                           "use --format packed")
     code = _build_f2v_from_args(args)
     source = _bit_source(args)
-    result = _stream_all(code, source, args.symbols)
+    # Whole lines of text, or groups of 8 symbols that pack into whole bytes.
+    d = code.codebook.alphabet_size
+    encode, group = (_text_lines, 64) if args.format == "text" else (lambda s: _pack_symbols(s, d), 8)
+    input_bits = output_symbols = 0
+    carry = np.empty(0, dtype=code.codebook.table.dtype)
+    with _atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout.buffer) as out:
+        for chunk in f2v.stream(code, source, args.symbols):
+            input_bits += chunk.input_bits
+            output_symbols += chunk.output_symbols
+            symbols = np.concatenate((carry, chunk.symbols))
+            whole = symbols.size - symbols.size % group
+            out.write(encode(symbols[:whole]))
+            carry = symbols[whole:]
+        out.write(encode(carry))
 
-    if args.format == "packed":
-        payload = _pack_symbols(result.symbols, code.codebook.alphabet_size)
-        if args.out:
-            with open(args.out, "wb") as handle:
-                handle.write(payload)
-        else:
-            sys.stdout.buffer.write(payload)
-    else:
-        digits = "".join(str(int(s)) for s in result.symbols)
-        lines = [digits[i : i + 64] for i in range(0, len(digits), 64)]
-        text = "\n".join(lines) + ("\n" if lines else "")
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-
-    rate = result.input_bits / result.output_symbols if result.output_symbols else math.nan
-    print(
-        f"input_bits={result.input_bits} output_symbols={result.output_symbols} "
-        f"empirical_rate={rate!r}",
-        file=sys.stderr,
-    )
-    if result.output_symbols < args.symbols:
+    rate = input_bits / output_symbols if output_symbols else math.nan
+    print(f"input_bits={input_bits} output_symbols={output_symbols} empirical_rate={rate!r}", file=sys.stderr)
+    if output_symbols < args.symbols:
         print("bit source exhausted before the requested symbol count", file=sys.stderr)
         return 1
     return 0
@@ -238,17 +220,20 @@ def cmd_generate(args) -> int:
 def cmd_validate(args) -> int:
     code = _build_f2v_from_args(args)
     source = _bit_source(args)
-    result = _stream_all(code, source, args.symbols)
-    if result.output_symbols < args.symbols:
+    input_bits = output_symbols = leaf_counts = 0
+    for chunk in f2v.stream(code, source, args.symbols):
+        input_bits += chunk.input_bits
+        output_symbols += chunk.output_symbols
+        leaf_counts += chunk.leaf_counts
+    if output_symbols < args.symbols:
         print("bit source exhausted before the requested symbol count", file=sys.stderr)
         return 1
 
-    n_words = result.input_bits // code.m
-    empirical = result.leaf_counts / n_words
-    tv = variational_distance(empirical, code.counts.probs())
-    rate = result.input_bits / result.output_symbols
+    n_words = input_bits // code.m
+    tv = variational_distance(leaf_counts / n_words, code.counts.probs())
+    rate = input_bits / output_symbols
     kl_target = kl_divergence(code.counts, code.target.leaf_probs)
-    print(f"codewords={n_words} output_symbols={result.output_symbols}")
+    print(f"codewords={n_words} output_symbols={output_symbols}")
     print(f"empirical_rate={rate!r} code_kl_bits={kl_target!r}")
     print(f"tv_empirical_vs_code={tv!r} threshold={args.tv_threshold!r}")
 

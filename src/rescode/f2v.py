@@ -34,6 +34,7 @@ __all__ = [
     "encode_word",
     "induced_distribution",
     "generate_stream",
+    "stream",
 ]
 
 # 2^m must stay exact in int64 arithmetic.
@@ -41,6 +42,9 @@ MAX_INPUT_BITS = 62
 
 # Exhaustive enumeration of all inputs is done up to this input length.
 EXHAUSTIVE_BITS = 16
+
+# Most words one generate_stream call of stream() draws; read at each call.
+STREAM_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +137,6 @@ class StreamResult:
     output_symbols: int
     leaf_counts: np.ndarray
 
-    @property
-    def empirical_rate(self) -> float:
-        return self.input_bits / self.output_symbols
-
 
 class BitSourceExhausted(RuntimeError):
     """The bit source ran out mid-stream; ``result`` holds what was emitted."""
@@ -228,3 +228,22 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     if words.size < k:
         raise BitSourceExhausted(result)
     return result
+
+
+def stream(code: ResolutionCode, bits, min_symbols: int):
+    """Yield StreamResult chunks until at least min_symbols symbols are out, or the bits run out.
+
+    Each round draws int(remaining / exp_len) + 1 words in generate_stream calls
+    of at most STREAM_CHUNK_WORDS words; the symbols do not depend on that size.
+    """
+    total = 0
+    while total < min_symbols:
+        words = int((min_symbols - total) / code.exp_len) + 1
+        for start in range(0, words, STREAM_CHUNK_WORDS):
+            try:
+                result = generate_stream(code, bits, min(STREAM_CHUNK_WORDS, words - start))
+            except BitSourceExhausted as exc:
+                yield exc.result
+                return
+            total += result.output_symbols
+            yield result

@@ -26,12 +26,12 @@ from rescode import (
     check_balance,
     convergence_probe,
     entropy,
-    generate_stream,
     induced_distribution,
     kl_divergence,
     kl_tv_bound,
     quantize,
     rate_report,
+    stream,
     variational_distance,
 )
 
@@ -214,14 +214,10 @@ def test_criterion_8_statistical_generation():
     t0 = time.perf_counter()
     code = build_code(TARGET, 3072, 12)
     r = rate_report(code, TARGET)
-    source = RandomBitSource(42)
-    mean_len = code.exp_len
     total = 0
     input_bits = 0
     leaf_counts = np.zeros(code.num_codewords, dtype=np.int64)
-    while total < 10**6:
-        k = max(1, int((10**6 - total) / mean_len) + 1)
-        res = generate_stream(code, source, k)
+    for res in stream(code, RandomBitSource(42), 10**6):
         total += res.output_symbols
         input_bits += res.input_bits
         leaf_counts += res.leaf_counts

@@ -1,9 +1,16 @@
 import math
+import os
+import stat
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rescode import Pmf, RandomBitSource, build_code, cli, generate_stream
+import rescode
+from rescode import Pmf, RandomBitSource, build_code, cli, f2v, generate_stream
 
 
 def run(capsys, argv):
@@ -166,6 +173,43 @@ class TestGenerate:
         assert np.array_equal(symbols, expected.symbols)
         assert symbols.max() >= 256
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "0.5,0.3,0.2", "--m", "8", "--size", "99", "--symbols", "1001", "--seed", "4"],
+        ["--p", "0.211,0.789", "--m", "9", "--size", "64", "--symbols", "1003", "--seed", "5",
+         "--format", "packed"],
+        ["--p", "0.1,0.2,0.3,0.15,0.25", "--m", "8", "--size", "61", "--symbols", "999", "--seed", "6",
+         "--format", "packed"],
+        ["--p", ",".join([repr(1 / 300)] * 300), "--m", "10", "--size", "300", "--symbols", "1001",
+         "--seed", "7", "--format", "packed"],
+        ["--p", "0.5,0.3,0.2", "--m", "9", "--size", "99", "--symbols", "100000", "--bits-file", "{bits}"],
+    ], ids=["text-D3", "packed-D2", "packed-D5", "packed-D300", "bits-file-exhausted"])
+    def test_output_does_not_depend_on_chunk_size(self, capsys, tmp_path, monkeypatch, argv):
+        bits = tmp_path / "bits.bin"
+        bits.write_bytes(bytes((i * 151 + 7) % 256 for i in range(600)))
+        argv = ["generate"] + [arg.format(bits=bits) for arg in argv]
+        out = tmp_path / "default.out"
+        expected = run(capsys, argv + ["--out", str(out)])
+        assert expected[0] == (1 if "--bits-file" in argv else 0)
+        for words in (1, 3, 64):
+            monkeypatch.setattr(f2v, "STREAM_CHUNK_WORDS", words)
+            chunked = tmp_path / f"{words}.out"
+            assert run(capsys, argv + ["--out", str(chunked)]) == expected
+            assert chunked.read_bytes() == out.read_bytes()
+
+    def test_packed_peak_memory_is_bounded(self, capsys, tmp_path):
+        # the benchmark's stream_packed code; holding the whole stream would
+        # cost about 7 B per symbol
+        argv = ["generate", "--p", "0.211,0.789", "--m", "12", "--size", "3072", "--symbols", "4000000",
+                "--seed", "42", "--format", "packed", "--out", str(tmp_path / "sym.bin")]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
+
 
 class TestValidate:
     def test_exhaustive_pass(self, capsys):
@@ -212,7 +256,9 @@ class TestUsageErrors:
     ], ids=["generate", "curve"])
     def test_single_symbol_alphabet(self, capsys, argv, round_size):
         assert exit_code(argv + ["--round-size"] * round_size) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alphabet size must be at least 2" in err
+        assert "--round-size" not in err
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--bits-file", "{missing}"],
@@ -239,3 +285,23 @@ class TestQuantizeCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["quantize", "--q", "0.5,0.4", "--M", "8"])
         assert exc.value.code == 2
+
+
+def test_written_files_get_the_umask_mode(capsys, tmp_path):
+    plain = tmp_path / "plain"
+    open(plain, "w").close()
+    curve, generated = tmp_path / "curve.csv", tmp_path / "sym.txt"
+    run(capsys, ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--out", str(curve), "--emit-gnuplot"])
+    run(capsys, TestGenerate.ARGS + ["--seed", "1", "--out", str(generated)])
+    mode = stat.S_IMODE(plain.stat().st_mode)
+    for path in (curve, Path(f"{curve}.gnuplot"), generated):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "curve.csv.gnuplot", "plain", "sym.txt"]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    src = str(Path(rescode.__file__).resolve().parent.parent)
+    probe = "import sys, rescode.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

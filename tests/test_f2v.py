@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from rescode import (
     build_code,
     encode_word,
     entropy,
+    f2v,
     generate_stream,
     induced_distribution,
+    stream,
 )
 
 
@@ -221,3 +224,31 @@ class TestStreamProperties:
         assert np.array_equal(sum(r.leaf_counts for r in parts), expected_counts)
         assert sum(r.input_bits for r in parts) == one.input_bits
         assert sum(r.output_symbols for r in parts) == one.output_symbols
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(stream_instances(), st.integers(min_value=1, max_value=150), st.integers(min_value=1, max_value=5))
+    def test_stream_keeps_its_schedule_in_any_chunk_size(self, instance, min_symbols, chunk_words):
+        code, bits, _ = instance
+        m = code.m
+        leaves = [encode_word(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2))
+                  for j in range(len(bits) // m)]
+        # the schedule: rounds of int(remaining / exp_len) + 1 words until
+        # min_symbols symbols are out or the whole words run out
+        words = total = 0
+        while total < min_symbols and words < len(leaves):
+            k = min(int((min_symbols - total) / code.exp_len) + 1, len(leaves) - words)
+            total += sum(len(leaf) for leaf in leaves[words : words + k])
+            words += k
+        index = {leaf: i for i, leaf in enumerate(code.codebook.leaves)}
+        expected_counts = np.bincount([index[leaf] for leaf in leaves[:words]], minlength=code.num_codewords)
+
+        with mock.patch.object(f2v, "STREAM_CHUNK_WORDS", chunk_words):
+            chunks = list(stream(code, ArrayBitSource(bits), min_symbols))
+        whole = list(stream(code, ArrayBitSource(bits), min_symbols))
+        assert all(r.input_bits <= chunk_words * m for r in chunks)
+        assert list(stream(code, ArrayBitSource(bits), 0)) == []
+        assert np.concatenate([r.symbols for r in chunks]).tolist() == [s for leaf in leaves[:words] for s in leaf]
+        for parts in (chunks, whole):
+            assert sum(r.input_bits for r in parts) == words * m
+            assert sum(r.output_symbols for r in parts) == total
+            assert np.array_equal(sum(r.leaf_counts for r in parts), expected_counts)
