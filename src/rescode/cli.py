@@ -42,9 +42,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _curve_point(job: tuple) -> tuple:
-    scheme, m, size, probs = job
-    p = Pmf(probs)
+def _curve_point(scheme: str, m: int, size: int, p: Pmf) -> tuple:
     if scheme == "b2b":
         code = block.build_block_code(p, size, m)
     else:
@@ -63,7 +61,10 @@ def _format_row(row: tuple) -> str:
 def _atomic_write(path: str):
     """A binary handle on a new file beside path (umask mode), renamed over path on success."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".rescode-{os.urandom(6).hex()}")
-    handle = open(tmp, "xb")
+    try:
+        handle = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
             yield handle
@@ -86,12 +87,7 @@ def _reachable_size(d: int, size: int, round_size: bool) -> int:
 
 def _gnuplot_layout(rows: list[tuple], target_entropy: float) -> str:
     lines = [f"# target_entropy_bits = {target_entropy!r}", "# columns: rate kl_bits N"]
-    seen = []
-    for row in rows:
-        key = (row[0], row[1])
-        if key not in seen:
-            seen.append(key)
-    for scheme, m in seen:
+    for scheme, m in dict.fromkeys((row[0], row[1]) for row in rows):
         lines.append("")
         lines.append("")
         lines.append(f"# scheme={scheme} m={m}")
@@ -121,29 +117,16 @@ def cmd_curve(args) -> int:
             raise SystemExit2(f"unknown scheme {s!r}")
 
     d = p.alphabet_size
-    jobs = []
-    for scheme in schemes:
-        if scheme == "b2b":
-            for m, n in pairs:
-                jobs.append(("b2b", m, n, tuple(p.probs)))
-        else:
-            sizes_by_m: dict[int, set[int]] = {m: set() for m in m_values}
-            for m, n in pairs:
-                sizes_by_m[m].add(2**n)
-            for m in m_values:
-                for extra in args.extra_size or ():
-                    sizes_by_m[m].add(int(extra))
-            for m in m_values:
-                for size in sorted(sizes_by_m[m]):
-                    jobs.append(("f2v", m, _reachable_size(d, size, args.round_size), tuple(p.probs)))
+    points = [("b2b", m, n) for m, n in pairs] if "b2b" in schemes else []
+    if "f2v" in schemes:
+        for m in m_values:
+            for size in sorted({2**n for pm, n in pairs if pm == m} | set(args.extra_size or ())):
+                points.append(("f2v", m, _reachable_size(d, size, args.round_size)))
 
+    # The rows use p renormalized once more; dropping that would change the last bits of some CSVs.
+    point_p = Pmf(p.probs)
     try:
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_curve_point, jobs))
-        else:
-            rows = [_curve_point(job) for job in jobs]
+        rows = [_curve_point(*point, point_p) for point in points]
     except ValueError as exc:
         raise SystemExit2(str(exc))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -293,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--out", default=None, help="CSV path (default stdout); written atomically")
     curve.add_argument("--emit-gnuplot", action="store_true",
                        help="also write <out>.gnuplot with one block per (scheme, m) series")
-    curve.add_argument("--jobs", type=int, default=1, help="evaluate grid points with this many processes")
     curve.add_argument("--round-size", action="store_true")
     curve.set_defaults(func=cmd_curve)
 

@@ -60,8 +60,10 @@ class IncompleteCodebookError(CodebookError):
 class Codebook:
     """A complete prefix-free codebook: D and its leaf paths, sorted.
 
-    ``lengths`` (int64) and ``table``, the leaves as a zero-padded
-    ``[N, max_len]`` symbol matrix, are built on first use and read-only.
+    ``lengths`` (int64), ``table``, the leaves as a zero-padded
+    ``[N, max_len]`` symbol matrix, and ``mask``, the ``[N, max_len]``
+    cells of ``table`` that hold a symbol, are built on first use and
+    read-only.
     """
 
     alphabet_size: int
@@ -75,11 +77,15 @@ class Codebook:
         return _frozen(np.array([len(x) for x in self.leaves], dtype=np.int64))
 
     @cached_property
+    def mask(self) -> np.ndarray:
+        return _frozen(np.arange(self.max_len()) < self.lengths[:, None])
+
+    @cached_property
     def table(self) -> np.ndarray:
         dtype = np.min_scalar_type(self.alphabet_size - 1)
         flat = np.fromiter(itertools.chain.from_iterable(self.leaves), dtype=dtype, count=int(self.lengths.sum()))
-        table = np.zeros((len(self), self.max_len()), dtype=dtype)
-        table[np.arange(table.shape[1]) < self.lengths[:, None]] = flat
+        table = np.zeros(self.mask.shape, dtype=dtype)
+        table[self.mask] = flat
         return _frozen(table)
 
     def max_len(self) -> int:

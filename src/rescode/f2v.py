@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,10 @@ EXHAUSTIVE_BITS = 16
 
 # Most words one generate_stream call of stream() draws; read at each call.
 STREAM_CHUNK_WORDS = 1 << 16
+
+# generate_stream looks words up in the 2^m-entry ResolutionCode.word_table up
+# to this m (at most 4 MB) and searches ``cum`` above it; read at each call.
+WORD_TABLE_BITS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +83,12 @@ class ResolutionCode:
     def exp_len(self) -> float:
         """Expected codeword length under the 2^m-type codeword distribution."""
         return float((self.counts.probs() * self.codebook.lengths).sum())
+
+    @cached_property
+    def word_table(self) -> np.ndarray:
+        """The codeword index of each of the 2^m input words; generate_stream builds it up to WORD_TABLE_BITS."""
+        n = self.num_codewords
+        return _frozen(np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), self.counts.counts))
 
 
 def _assemble(scheme: str, p: Pmf, target: LeafDistribution, m: int, counts: TypedPmf) -> ResolutionCode:
@@ -167,12 +178,20 @@ class ArrayBitSource:
         return chunk
 
 
-class FileBitSource(ArrayBitSource):
-    """Bits of a raw byte file, most-significant bit of each byte first."""
+class FileBitSource:
+    """Bits of a raw byte file, most-significant bit of each byte first, read as they are taken."""
 
     def __init__(self, path):
-        data = np.fromfile(path, dtype=np.uint8)
-        super().__init__(np.unpackbits(data))
+        open(path, "rb").close()  # a missing or unreadable file fails here, by name
+        self._path = path
+        self._pos = 0
+
+    def take_bits(self, n: int) -> np.ndarray:
+        skip = self._pos % 8
+        data = np.fromfile(self._path, dtype=np.uint8, count=(skip + n + 7) // 8, offset=self._pos // 8)
+        bits = np.unpackbits(data)[skip : skip + n]
+        self._pos += bits.size
+        return bits
 
 
 class RandomBitSource:
@@ -216,9 +235,12 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     if k < 0:
         raise ValueError("number of codewords must be nonnegative")
     words = _take_words(bits, k, code.m)
-    idx = np.searchsorted(code.cum, words, side="right") - 1
-    table = code.codebook.table
-    symbols = table[idx][np.arange(table.shape[1]) < code.codebook.lengths[idx][:, None]]
+    if code.m <= WORD_TABLE_BITS:
+        idx = code.word_table[words]
+    else:
+        idx = np.searchsorted(code.cum, words, side="right") - 1
+    book = code.codebook
+    symbols = np.take(book.table, idx, axis=0)[np.take(book.mask, idx, axis=0)]
     result = StreamResult(
         symbols=symbols,
         input_bits=int(words.size) * code.m,

@@ -13,7 +13,9 @@ from rescode import (
     FileBitSource,
     Pmf,
     RandomBitSource,
+    TypedPmf,
     build_code,
+    build_tunstall,
     encode_word,
     entropy,
     f2v,
@@ -122,6 +124,42 @@ class TestInvariants:
         assert np.array_equal(a.counts.counts, b.counts.counts)
 
 
+def hand_made_code(n, m, seed):
+    """Tunstall leaves with random counts summing to 2^m, every fifth one zero.
+
+    Assembled directly, because quantize is linear in 2^m.
+    """
+    p = Pmf([0.211, 0.789])
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n)
+    weights[::5] = 0
+    counts = rng.multinomial(1 << m, weights / weights.sum())
+    return f2v._assemble("f2v", p, build_tunstall(p, n), m, TypedPmf(1 << m, counts))
+
+
+def interval_map(code):
+    return np.searchsorted(code.cum, np.arange(1 << code.m), side="right") - 1
+
+
+class TestWordTable:
+    def test_table_is_the_interval_map_at_the_cutoff(self):
+        code = hand_made_code(1 << 12, 20, seed=3)
+        assert code.m == f2v.WORD_TABLE_BITS
+        generate_stream(code, RandomBitSource(1), 10)
+        assert "word_table" in vars(code)
+        assert np.array_equal(code.word_table, interval_map(code))
+        assert not code.word_table.flags.writeable
+
+    def test_search_beyond_the_cutoff(self):
+        code = hand_made_code(3072, 24, seed=4)
+        bits = np.random.default_rng(5).integers(0, 2, size=500 * 24 + 7)
+        res = generate_stream(code, ArrayBitSource(bits), 500)
+        words = [int("".join(map(str, bits[j * 24 : (j + 1) * 24])), 2) for j in range(500)]
+        assert res.symbols.tolist() == [s for u in words for s in encode_word(code, u)]
+        assert res.leaf_counts.sum() == 500 and not res.leaf_counts[::5].any()
+        assert "word_table" not in vars(code)
+
+
 class TestGenerateStream:
     def test_bits_000_101(self, running_code):
         res = generate_stream(running_code, ArrayBitSource("000101"), 2)
@@ -160,6 +198,27 @@ class TestGenerateStream:
         path.write_bytes(bytes([0b00010100]))
         res = generate_stream(running_code, FileBitSource(path), 2)
         assert list(res.symbols) == [0, 0, 0, 1]
+
+    def test_file_source_serves_the_file_bits_in_any_takes(self, tmp_path):
+        data = np.random.default_rng(8).integers(0, 256, size=50, dtype=np.uint8)
+        path = tmp_path / "bits.bin"
+        data.tofile(path)
+        source = FileBitSource(path)
+        taken = [source.take_bits(n) for n in (0, 3, 5, 8, 13, 0, 64, 1, 300, 10, 4)]
+        assert [t.size for t in taken] == [0, 3, 5, 8, 13, 0, 64, 1, 300, 6, 0]
+        assert np.array_equal(np.concatenate(taken), np.unpackbits(data))
+
+    def test_file_source_reads_only_what_it_serves(self, running_code, tmp_path):
+        path = tmp_path / "big.bin"
+        np.random.default_rng(9).integers(0, 256, size=4 << 20, dtype=np.uint8).tofile(path)
+        tracemalloc.start()
+        try:
+            res = generate_stream(running_code, FileBitSource(path), 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.input_bits == 300
+        assert peak < 1 << 20
 
     def test_statistical_agreement(self):
         # large seeded run: empirical codeword frequencies approach counts/2^m
@@ -201,29 +260,41 @@ def stream_instances(draw):
     return build_code(p, n, m), bits, chunks
 
 
+def check_against_per_word_oracle(code, bits, chunks):
+    """One-shot and chunked generate_stream calls against encode_word, word by word."""
+    m, words = code.m, sum(chunks)
+    index = {leaf: i for i, leaf in enumerate(code.codebook.leaves)}
+    leaves = [encode_word(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2)) for j in range(words)]
+    expected = [s for leaf in leaves for s in leaf]
+    expected_counts = np.bincount([index[leaf] for leaf in leaves], minlength=code.num_codewords)
+
+    one = generate_stream(code, ArrayBitSource(bits), words)
+    assert one.symbols.tolist() == expected
+    assert np.array_equal(one.leaf_counts, expected_counts)
+    assert one.input_bits == words * m
+    assert one.output_symbols == len(expected)
+
+    source = ArrayBitSource(bits)
+    parts = [generate_stream(code, source, k) for k in chunks]
+    assert np.concatenate([r.symbols for r in parts]).tolist() == expected
+    assert np.array_equal(sum(r.leaf_counts for r in parts), expected_counts)
+    assert sum(r.input_bits for r in parts) == one.input_bits
+    assert sum(r.output_symbols for r in parts) == one.output_symbols
+
+
 class TestStreamProperties:
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(stream_instances())
     def test_matches_per_word_oracle_in_any_chunking(self, instance):
-        code, bits, chunks = instance
-        m, words = code.m, sum(chunks)
-        index = {leaf: i for i, leaf in enumerate(code.codebook.leaves)}
-        leaves = [encode_word(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2)) for j in range(words)]
-        expected = [s for leaf in leaves for s in leaf]
-        expected_counts = np.bincount([index[leaf] for leaf in leaves], minlength=code.num_codewords)
+        check_against_per_word_oracle(*instance)
+        assert np.array_equal(instance[0].word_table, interval_map(instance[0]))
 
-        one = generate_stream(code, ArrayBitSource(bits), words)
-        assert one.symbols.tolist() == expected
-        assert np.array_equal(one.leaf_counts, expected_counts)
-        assert one.input_bits == words * m
-        assert one.output_symbols == len(expected)
-
-        source = ArrayBitSource(bits)
-        parts = [generate_stream(code, source, k) for k in chunks]
-        assert np.concatenate([r.symbols for r in parts]).tolist() == expected
-        assert np.array_equal(sum(r.leaf_counts for r in parts), expected_counts)
-        assert sum(r.input_bits for r in parts) == one.input_bits
-        assert sum(r.output_symbols for r in parts) == one.output_symbols
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(stream_instances())
+    def test_search_path_matches_per_word_oracle(self, instance):
+        with mock.patch.object(f2v, "WORD_TABLE_BITS", 0):
+            check_against_per_word_oracle(*instance)
+        assert "word_table" not in vars(instance[0])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(stream_instances(), st.integers(min_value=1, max_value=150), st.integers(min_value=1, max_value=5))
