@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -58,35 +58,29 @@ class IncompleteCodebookError(CodebookError):
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """A complete prefix-free codebook: D and its leaf paths, sorted.
+    """A complete prefix-free codebook over D symbols, its leaves sorted.
 
-    ``lengths`` (int64), ``table``, the leaves as a zero-padded
-    ``[N, max_len]`` symbol matrix, and ``mask``, the ``[N, max_len]``
-    cells of ``table`` that hold a symbol, are built on first use and
-    read-only.
+    ``table`` holds leaf i's symbols in row i of a ``[N, max_len]`` matrix
+    in the smallest unsigned dtype that holds D - 1, zero past the leaf's
+    length ``lengths[i]`` (int64).  ``mask``, the ``[N, max_len]`` cells of
+    ``table`` that hold a symbol, and ``leaves``, the paths as a tuple of
+    tuples, are built on first use.  All are read-only.
     """
 
     alphabet_size: int
-    leaves: tuple[tuple[int, ...], ...]
+    table: np.ndarray
+    lengths: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.leaves)
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        return _frozen(np.array([len(x) for x in self.leaves], dtype=np.int64))
+        return self.lengths.size
 
     @cached_property
     def mask(self) -> np.ndarray:
         return _frozen(np.arange(self.max_len()) < self.lengths[:, None])
 
     @cached_property
-    def table(self) -> np.ndarray:
-        dtype = np.min_scalar_type(self.alphabet_size - 1)
-        flat = np.fromiter(itertools.chain.from_iterable(self.leaves), dtype=dtype, count=int(self.lengths.sum()))
-        table = np.zeros(self.mask.shape, dtype=dtype)
-        table[self.mask] = flat
-        return _frozen(table)
+    def leaves(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(row[:n].tolist()) for row, n in zip(self.table, self.lengths))
 
     def max_len(self) -> int:
         return int(self.lengths.max())
@@ -111,35 +105,54 @@ class LeafDistribution:
 def validate_complete(leaves, alphabet_size: int, *, max_len: int | None = DEFAULT_MAX_LEN) -> Codebook:
     """Check a leaf set and return the canonical (sorted) Codebook.
 
-    Raises DuplicateLeafError, PrefixViolationError, or
-    IncompleteCodebookError (with the exact rational deficit) when the set
-    is not a complete prefix-free codebook.
+    ``leaves`` is a Codebook, checked with its rows in the given order, or
+    any iterable of paths, sorted first.  Raises DuplicateLeafError,
+    PrefixViolationError, or IncompleteCodebookError (with the exact
+    rational deficit) when the set is not a complete prefix-free codebook,
+    and CodebookError for a Codebook whose rows are out of order.
     """
     d = int(alphabet_size)
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
-    paths = [tuple(int(s) for s in leaf) for leaf in leaves]
-    if not paths:
+    book = leaves
+    if not isinstance(book, Codebook):
+        paths = sorted(tuple(int(s) for s in leaf) for leaf in leaves)
+        if any(s < 0 or s >= d for x in paths for s in x):
+            raise ValueError(f"leaves contain symbols outside [0, {d})")
+        lengths = np.array([len(x) for x in paths], dtype=np.int64)
+        table = np.zeros((len(paths), max(lengths, default=0)), dtype=np.min_scalar_type(d - 1))
+        table[np.arange(table.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(paths))
+        book = Codebook(alphabet_size=d, table=_frozen(table), lengths=_frozen(lengths))
+    table, lengths = book.table, book.lengths
+    if not lengths.size:
         raise ValueError("leaf set must be nonempty")
-    for x in paths:
-        if len(x) < 1:
-            raise ValueError("leaf paths must have length at least 1")
-        if max_len is not None and len(x) > max_len:
-            raise ValueError(f"leaf path longer than max_len={max_len}")
-        if any(s < 0 or s >= d for s in x):
-            raise ValueError(f"path {x} contains symbols outside [0, {d})")
-    paths.sort()
-    # In sorted order a prefix pair, if any exists, is adjacent.
-    for a, b in itertools.pairwise(paths):
+    if lengths.min() < 1:
+        raise ValueError("leaf paths must have length at least 1")
+    if max_len is not None and lengths.max() > max_len:
+        raise ValueError(f"leaf path longer than max_len={max_len}")
+    if book.alphabet_size != d or table.max() >= d:
+        raise ValueError(f"leaves contain symbols outside [0, {d})")
+    # Each leaf must sort strictly before the next and not be its prefix: the
+    # first differing cell lies within both leaves and grows.  In sorted order
+    # a prefix pair, if any exists, is adjacent.
+    x, y = table[:-1], table[1:]
+    rows = np.arange(len(book) - 1)
+    first = (x != y).argmax(axis=1)
+    ok = (first < np.minimum(lengths[:-1], lengths[1:])) & (y[rows, first] > x[rows, first])
+    if not ok.all():
+        i = int(ok.argmin())
+        a, b = (tuple(table[r, : lengths[r]].tolist()) for r in (i, i + 1))
         if a == b:
             raise DuplicateLeafError(f"duplicate leaf {a}")
         if b[: len(a)] == a:
             raise PrefixViolationError(f"leaf {a} is a prefix of leaf {b}")
-    lmax = max(len(x) for x in paths)
-    kraft = sum(d ** (lmax - len(x)) for x in paths)
-    if kraft != d**lmax:
-        raise IncompleteCodebookError(Fraction(d**lmax - kraft, d**lmax))
-    return Codebook(alphabet_size=d, leaves=tuple(paths))
+        raise CodebookError(f"leaf {a} sorts after leaf {b}")
+    # D^lmax times the Kraft sum, exactly: sum of count(l) * D^(lmax - l), by Horner's rule
+    kraft = reduce(lambda acc, count: acc * d + count, np.bincount(lengths)[1:].tolist(), 0)
+    full = d ** book.max_len()
+    if kraft != full:
+        raise IncompleteCodebookError(Fraction(full - kraft, full))
+    return book
 
 
 def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
@@ -155,13 +168,11 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
         )
     if not p.has_full_support():
         raise ValueError("branching distribution must have full support; drop zero-probability symbols first")
-    probs = np.empty(len(codebook), dtype=float)
-    pv = p.probs
-    for i, x in enumerate(codebook.leaves):
-        acc = 1.0
-        for s in x:
-            acc *= pv[s]
-        probs[i] = acc
+    # the left fold of acc *= pv[s] along each path, one column at a time
+    pv, table, lengths = p.probs, codebook.table, codebook.lengths
+    probs = np.ones(len(codebook))
+    for j in range(codebook.max_len()):
+        probs *= np.where(lengths > j, pv[table[:, j]], 1.0)
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs))
 
 
@@ -174,5 +185,6 @@ def product_codebook(alphabet_size: int, n: int) -> Codebook:
         raise ValueError("block length must be at least 1")
     if d**n > MAX_PRODUCT_LEAVES:
         raise ValueError(f"product codebook would have {d**n} leaves, above the cap {MAX_PRODUCT_LEAVES}")
-    leaves = tuple(itertools.product(range(d), repeat=n))
-    return Codebook(alphabet_size=d, leaves=leaves)
+    table = np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1).T
+    lengths = np.full(d**n, n, dtype=np.int64)
+    return Codebook(alphabet_size=d, table=_frozen(np.ascontiguousarray(table)), lengths=_frozen(lengths))

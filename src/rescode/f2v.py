@@ -122,7 +122,8 @@ def encode_word(code: ResolutionCode, u: int) -> tuple[int, ...]:
     if not 0 <= u < (1 << code.m):
         raise ValueError(f"input word {u} outside [0, 2^{code.m})")
     i = int(np.searchsorted(code.cum, u, side="right")) - 1
-    return code.codebook.leaves[i]
+    book = code.codebook
+    return tuple(book.table[i, : book.lengths[i]].tolist())
 
 
 def induced_distribution(code: ResolutionCode) -> TypedPmf:

@@ -1,0 +1,72 @@
+"""Slow reference implementations that the fast library code is checked against.
+
+Neither is used by the library: the Tunstall build and the completeness
+check both work on flat arrays there.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from rescode import DuplicateLeafError, IncompleteCodebookError, PrefixViolationError
+from rescode.codetree import DEFAULT_MAX_LEN
+
+
+def heap_tunstall(pv, n: int):
+    """Tunstall's greedy split with a heap of (-prob, path): (sorted leaves, their probabilities).
+
+    The most likely leaf is split first; equal probabilities split the
+    lexicographically smaller path first.
+    """
+    d = len(pv)
+    heap = [(-pv[a], (a,)) for a in range(d)]
+    heapq.heapify(heap)
+    while len(heap) < n:
+        neg, path = heapq.heappop(heap)
+        for a in range(d):
+            heapq.heappush(heap, (neg * pv[a], path + (a,)))
+    items = sorted((path, -neg) for neg, path in heap)
+    return tuple(path for path, _ in items), np.array([prob for _, prob in items], dtype=float)
+
+
+def tuple_validate_complete(leaves, alphabet_size: int, *, max_len: int | None = DEFAULT_MAX_LEN):
+    """The sorted leaf tuples of a complete prefix-free codebook, or the error that says why not."""
+    d = int(alphabet_size)
+    if d < 2:
+        raise ValueError("alphabet size must be at least 2")
+    paths = [tuple(int(s) for s in leaf) for leaf in leaves]
+    if not paths:
+        raise ValueError("leaf set must be nonempty")
+    for x in paths:
+        if len(x) < 1:
+            raise ValueError("leaf paths must have length at least 1")
+        if max_len is not None and len(x) > max_len:
+            raise ValueError(f"leaf path longer than max_len={max_len}")
+        if any(s < 0 or s >= d for s in x):
+            raise ValueError(f"path {x} contains symbols outside [0, {d})")
+    paths.sort()
+    for a, b in itertools.pairwise(paths):
+        if a == b:
+            raise DuplicateLeafError(f"duplicate leaf {a}")
+        if b[: len(a)] == a:
+            raise PrefixViolationError(f"leaf {a} is a prefix of leaf {b}")
+    lmax = max(len(x) for x in paths)
+    kraft = sum(d ** (lmax - len(x)) for x in paths)
+    if kraft != d**lmax:
+        raise IncompleteCodebookError(Fraction(d**lmax - kraft, d**lmax))
+    return tuple(paths)
+
+
+def loop_leaf_probs(pv, leaves) -> np.ndarray:
+    """Each leaf's probability as the left fold acc *= pv[s] along its path."""
+    probs = np.empty(len(leaves))
+    for i, x in enumerate(leaves):
+        acc = 1.0
+        for s in x:
+            acc *= pv[s]
+        probs[i] = acc
+    return probs

@@ -2,16 +2,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescode import (
+    Codebook,
+    CodebookError,
     DuplicateLeafError,
     IncompleteCodebookError,
     Pmf,
+    build_tunstall,
     PrefixViolationError,
     leaf_distribution,
     product_codebook,
     validate_complete,
 )
+from references import loop_leaf_probs, tuple_validate_complete
 
 
 class TestValidateComplete:
@@ -53,6 +59,71 @@ class TestValidateComplete:
         assert len(cb) == 5
 
 
+def flat_codebook(leaves, d):
+    """A Codebook holding the leaves as given, unchecked."""
+    lengths = np.array([len(x) for x in leaves], dtype=np.int64)
+    table = np.zeros((len(leaves), max(lengths)), dtype=np.min_scalar_type(d - 1))
+    for row, x in zip(table, leaves):
+        row[: len(x)] = x
+    return Codebook(alphabet_size=d, table=table, lengths=lengths)
+
+
+@st.composite
+def mutated_leaf_sets(draw):
+    """A complete D-ary leaf set grown by random splits, then mutated one to three times."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    leaves = [(a,) for a in range(d)]
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        x = leaves.pop(draw(st.integers(min_value=0, max_value=len(leaves) - 1)))
+        leaves.extend(x + (a,) for a in range(d))
+    for kind in draw(st.lists(st.sampled_from(["drop", "duplicate", "split", "prefix"]), min_size=1, max_size=3)):
+        if not leaves:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(leaves) - 1))
+        x = leaves[i]
+        if kind == "drop":
+            del leaves[i]
+        elif kind == "duplicate":
+            leaves.append(x)
+        elif kind == "split":  # some of its children, never all
+            kept = draw(st.sets(st.integers(min_value=0, max_value=d - 1), min_size=1, max_size=d - 1))
+            leaves[i : i + 1] = [x + (a,) for a in sorted(kept)]
+        elif len(x) > 1:
+            leaves.append(x[: draw(st.integers(min_value=1, max_value=len(x) - 1))])
+        else:
+            leaves.append(x + (0,))
+    return d, leaves
+
+
+def outcome(check, *args):
+    try:
+        return check(*args), None
+    except ValueError as exc:
+        return None, exc
+
+
+class TestAgainstTupleReference:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(mutated_leaf_sets())
+    def test_same_verdict_as_tuple_check(self, instance):
+        d, leaves = instance
+        ref, ref_error = outcome(tuple_validate_complete, leaves, d)
+        inputs = [leaves]
+        if leaves:
+            inputs.append(flat_codebook(sorted(leaves), d))
+        for given_leaves in inputs:
+            book, error = outcome(validate_complete, given_leaves, d)
+            assert type(error) is type(ref_error), (given_leaves, error, ref_error)
+            if isinstance(ref_error, IncompleteCodebookError):
+                assert error.deficit == ref_error.deficit
+            if ref_error is None:
+                assert book.leaves == ref
+
+    def test_codebook_rows_out_of_order(self):
+        with pytest.raises(CodebookError, match="sorts after"):
+            validate_complete(flat_codebook([(1,), (0,)], 2), 2)
+
+
 class TestLeafDistribution:
     def test_hand_products(self):
         p = Pmf([0.8, 0.2])
@@ -69,6 +140,18 @@ class TestLeafDistribution:
         ld = leaf_distribution(Pmf([0.211, 0.789]), validate_complete([(0,), (1,)], 2))
         assert ld.leaf_probs == pytest.approx([0.211, 0.789], abs=1e-15)
         assert ld.expected_len == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "probs, codebook",
+        [
+            ((0.211, 0.789), product_codebook(2, 16)),
+            ((0.3, 0.2, 0.5), product_codebook(3, 7)),
+            ((0.211, 0.789), build_tunstall(Pmf([0.211, 0.789]), 3072).codebook),
+        ],
+    )
+    def test_bit_identical_to_the_per_leaf_fold(self, probs, codebook):
+        p = Pmf(list(probs))
+        assert np.array_equal(leaf_distribution(p, codebook).leaf_probs, loop_leaf_probs(p.probs, codebook.leaves))
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from rescode import (
     is_valid_size,
     leaf_distribution,
     round_size_down,
+    tunstall,
     validate_complete,
 )
+from references import heap_tunstall
 
 
 def full_support_pmf(rng, d, floor=0.05):
@@ -160,3 +164,70 @@ class TestProperties:
             ref = 2.0 ** math.fsum(logs[s] for s in x)
             assert abs(prob - ref) <= 1e-12 * ref, x
         assert check_balance(ld, p.mu()).ok
+
+
+@st.composite
+def oracle_instances(draw):
+    """D in 2..4 with every branch probability at least a floor down to 0.001, and a valid N <= 2^12."""
+    floor = draw(st.sampled_from([0.001, 0.01, 0.1]))
+    weight = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
+    weights = np.asarray(draw(st.lists(weight, min_size=2, max_size=4)))
+    d = weights.size
+    total = math.fsum(weights)
+    p = Pmf(floor + (1 - floor * d) * weights / total if total else np.full(d, 1 / d))
+    most = max(0, ((1 << draw(st.integers(min_value=1, max_value=12))) - d) // (d - 1))
+    return p, d + draw(st.integers(min_value=most // 2, max_value=most)) * (d - 1)
+
+
+class TestHeapOracle:
+    """The level-by-level build gives the heap's codebook and bit-identical leaf probabilities."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(oracle_instances())
+    def test_matches_heap(self, instance):
+        p, n = instance
+        ld = build_tunstall(p, n)
+        leaves, probs = heap_tunstall(p.probs, n)
+        assert ld.codebook.leaves == leaves
+        assert np.array_equal(ld.leaf_probs, probs)
+
+    @pytest.mark.parametrize(
+        "probs, n",
+        [((0.211, 0.789), n) for n in (32, 2048, 3072, 4096, 1 << 16)]
+        + [((0.5, 0.3, 0.2), 16385), ((0.999, 0.001), 1024)],
+    )
+    def test_pinned_sizes_match_heap(self, probs, n):
+        p = Pmf(list(probs))
+        ld = build_tunstall(p, n)
+        leaves, leaf_probs = heap_tunstall(p.probs, n)
+        assert ld.codebook.leaves == leaves
+        assert np.array_equal(ld.leaf_probs, leaf_probs)
+
+    @pytest.mark.parametrize(
+        "probs, n, factor", [((0.211, 0.789), 3072, 8), ((0.5, 0.3, 0.2), 1001, 8), ((0.999, 0.001), 300, 1000)]
+    )
+    def test_regrows_when_the_cutoff_is_too_high(self, probs, n, factor):
+        grow = tunstall._grow
+        cutoffs = []
+
+        def high_first(pv, k, cutoff):
+            cutoffs.append(cutoff)
+            return grow(pv, k, factor * cutoff)
+
+        p = Pmf(list(probs))
+        with mock.patch.object(tunstall, "_grow", high_first):
+            ld = build_tunstall(p, n)
+        assert len(cutoffs) == 2 and cutoffs[1] == 0.0
+        leaves, leaf_probs = heap_tunstall(p.probs, n)
+        assert ld.codebook.leaves == leaves
+        assert np.array_equal(ld.leaf_probs, leaf_probs)
+
+    def test_skewed_build_stays_near_its_table_size(self):
+        # a padded path matrix per level would take far more than the table
+        tracemalloc.start()
+        try:
+            ld = build_tunstall(Pmf([0.999, 0.001]), 1 << 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ld.codebook.table.nbytes + (1 << 20)
