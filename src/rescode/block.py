@@ -13,8 +13,6 @@ from .codetree import leaf_distribution, product_codebook
 from .f2v import MAX_INPUT_BITS, ResolutionCode, _assemble
 from .probdist import Pmf
 
-__all__ = ["build_block_code"]
-
 
 def build_block_code(p: Pmf, n: int, m: int) -> ResolutionCode:
     """m-bit-to-n-symbol block code over the product codebook.
@@ -28,4 +26,4 @@ def build_block_code(p: Pmf, n: int, m: int) -> ResolutionCode:
     codebook = product_codebook(p.alphabet_size, n)
     target = leaf_distribution(p, codebook)
     counts = mtype.quantize(target.leaf_probs, 1 << m)
-    return _assemble("b2b", p, target, m, counts)
+    return _assemble("b2b", target, m, counts)

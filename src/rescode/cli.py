@@ -42,19 +42,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _curve_point(scheme: str, m: int, size: int, p: Pmf) -> tuple:
-    if scheme == "b2b":
-        code = block.build_block_code(p, size, m)
-    else:
-        code = f2v.build_code(p, size, m)
-    r = metrics.rate_report(code, p)
-    return (scheme, m, r.num_codewords, r.n_bits, r.q_bits, r.rate,
-            r.entropy_rate, r.hv_rate, r.kl, r.kl_bound, r.exp_len)
+def _curve_point(scheme: str, m: int, size: int, p: Pmf) -> metrics.RateReport:
+    build = block.build_block_code if scheme == "b2b" else f2v.build_code
+    return metrics.rate_report(build(p, size, m), p)
 
 
-def _format_row(row: tuple) -> str:
-    scheme, m, n = row[0], row[1], row[2]
-    return ",".join([scheme, str(m), str(n)] + [repr(float(v)) for v in row[3:]])
+def _format_row(r: metrics.RateReport) -> str:
+    values = (r.n_bits, r.q_bits, r.rate, r.entropy_rate, r.hv_rate, r.kl, r.kl_bound, r.exp_len)
+    return ",".join([r.scheme, str(r.m), str(r.num_codewords)] + [repr(float(v)) for v in values])
 
 
 @contextlib.contextmanager
@@ -79,42 +74,40 @@ def _reachable_size(d: int, size: int, round_size: bool) -> int:
     if tunstall.is_valid_size(d, size):
         return size
     if not round_size and d >= 2:
-        raise SystemExit2(
+        raise ValueError(
             f"codebook size {size} is not reachable for alphabet size {d}; pass --round-size to round down"
         )
     return tunstall.round_size_down(d, size)
 
 
-def _gnuplot_layout(rows: list[tuple], target_entropy: float) -> str:
+def _gnuplot_layout(rows: list[metrics.RateReport], target_entropy: float) -> str:
     lines = [f"# target_entropy_bits = {target_entropy!r}", "# columns: rate kl_bits N"]
-    for scheme, m in dict.fromkeys((row[0], row[1]) for row in rows):
-        lines.append("")
-        lines.append("")
-        lines.append(f"# scheme={scheme} m={m}")
-        for row in rows:
-            if (row[0], row[1]) == (scheme, m):
-                lines.append(f"{row[5]!r} {row[8]!r} {row[2]}")
+    for scheme, m in dict.fromkeys((r.scheme, r.m) for r in rows):
+        lines += ["", "", f"# scheme={scheme} m={m}"]
+        lines += [f"{r.rate!r} {r.kl!r} {r.num_codewords}" for r in rows if (r.scheme, r.m) == (scheme, m)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_curve(args) -> int:
     p = args.p
     if args.grid_table and (args.m or args.n_list):
-        raise SystemExit2("--grid-table cannot be combined with --m/--n-list")
+        raise ValueError("--grid-table cannot be combined with --m/--n-list")
     if args.grid_table:
         pairs = [(m, n) for m, ns in sorted(DEFAULT_GRID.items()) for n in ns]
         m_values = sorted(DEFAULT_GRID)
     else:
         if not args.m:
-            raise SystemExit2("either --grid-table or at least one --m is required")
+            raise ValueError("either --grid-table or at least one --m is required")
         m_values = sorted(set(args.m))
         pairs = [(m, n) for m in m_values for n in (args.n_list or ())]
     if not pairs and not args.extra_size:
-        raise SystemExit2("no codebook sizes requested: give --n-list, --grid-table, or --extra-size")
+        raise ValueError("no codebook sizes requested: give --n-list, --grid-table, or --extra-size")
     schemes = sorted(set(args.schemes.split(",")))
     for s in schemes:
         if s not in ("f2v", "b2b"):
-            raise SystemExit2(f"unknown scheme {s!r}")
+            raise ValueError(f"unknown scheme {s!r}")
+    if args.emit_gnuplot and not args.out:
+        raise ValueError("--emit-gnuplot requires --out")
 
     d = p.alphabet_size
     points = [("b2b", m, n) for m, n in pairs] if "b2b" in schemes else []
@@ -123,13 +116,8 @@ def cmd_curve(args) -> int:
             for size in sorted({2**n for pm, n in pairs if pm == m} | set(args.extra_size or ())):
                 points.append(("f2v", m, _reachable_size(d, size, args.round_size)))
 
-    # The rows use p renormalized once more; dropping that would change the last bits of some CSVs.
-    point_p = Pmf(p.probs)
-    try:
-        rows = [_curve_point(*point, point_p) for point in points]
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = [_curve_point(*point, p) for point in points]
+    rows.sort(key=lambda r: (r.scheme, r.m, r.num_codewords))
 
     text = CSV_HEADER + "\n" + "".join(_format_row(row) + "\n" for row in rows)
     if args.out:
@@ -139,15 +127,13 @@ def cmd_curve(args) -> int:
             with _atomic_write(args.out + ".gnuplot") as handle:
                 handle.write(_gnuplot_layout(rows, entropy(p)).encode())
     else:
-        if args.emit_gnuplot:
-            raise SystemExit2("--emit-gnuplot requires --out")
         sys.stdout.write(text)
     return 0
 
 
 def _build_f2v_from_args(args) -> f2v.ResolutionCode:
     if args.symbols < 1:
-        raise SystemExit2("--symbols must be at least 1")
+        raise ValueError("--symbols must be at least 1")
     return f2v.build_code(args.p, _reachable_size(args.p.alphabet_size, args.size, args.round_size), args.m)
 
 
@@ -155,7 +141,7 @@ def _bit_source(args):
     if args.bits_file:
         return f2v.FileBitSource(args.bits_file)
     if args.seed is None:
-        raise SystemExit2("--seed is required when no --bits-file is given")
+        raise ValueError("--seed is required when no --bits-file is given")
     return f2v.RandomBitSource(args.seed)
 
 
@@ -173,8 +159,8 @@ def _text_lines(symbols: np.ndarray) -> bytes:
 
 def cmd_generate(args) -> int:
     if args.format == "text" and args.p.alphabet_size > 10:
-        raise SystemExit2("text output writes one digit per symbol, so it needs at most 10 symbols; "
-                          "use --format packed")
+        raise ValueError("text output writes one digit per symbol, so it needs at most 10 symbols; "
+                         "use --format packed")
     code = _build_f2v_from_args(args)
     source = _bit_source(args)
     # Whole lines of text, or groups of 8 symbols that pack into whole bytes.
@@ -230,20 +216,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    try:
-        result = mtype.quantize(np.asarray([float(t) for t in args.q.split(",")]), args.M)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
-    kl = kl_divergence(result, [float(t) for t in args.q.split(",")])
+    q = [float(t) for t in args.q.split(",")]
+    result = mtype.quantize(np.asarray(q), args.M)
+    kl = kl_divergence(result, q)
     print("counts=" + ",".join(str(int(c)) for c in result.counts))
     print(f"kl_bits={kl!r}")
     return 0
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
 
 
 def _add_generation_flags(sub, with_format: bool) -> None:
@@ -299,11 +277,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2:
-        raise
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -17,18 +17,6 @@ import numpy as np
 
 from .probdist import Pmf, _frozen
 
-__all__ = [
-    "Codebook",
-    "LeafDistribution",
-    "CodebookError",
-    "PrefixViolationError",
-    "IncompleteCodebookError",
-    "DuplicateLeafError",
-    "validate_complete",
-    "leaf_distribution",
-    "product_codebook",
-]
-
 #: default bound on path length for user-supplied leaf sets
 DEFAULT_MAX_LEN = 64
 

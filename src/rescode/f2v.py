@@ -23,21 +23,6 @@ from . import mtype, tunstall
 from .codetree import Codebook, LeafDistribution
 from .probdist import Pmf, TypedPmf, _frozen
 
-__all__ = [
-    "MAX_INPUT_BITS",
-    "ResolutionCode",
-    "StreamResult",
-    "BitSourceExhausted",
-    "RandomBitSource",
-    "ArrayBitSource",
-    "FileBitSource",
-    "build_code",
-    "encode_word",
-    "induced_distribution",
-    "generate_stream",
-    "stream",
-]
-
 # 2^m must stay exact in int64 arithmetic.
 MAX_INPUT_BITS = 62
 
@@ -64,7 +49,6 @@ class ResolutionCode:
 
     scheme: str
     m: int
-    source: Pmf
     target: LeafDistribution
     counts: TypedPmf
     cum: np.ndarray
@@ -91,13 +75,12 @@ class ResolutionCode:
         return _frozen(np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), self.counts.counts))
 
 
-def _assemble(scheme: str, p: Pmf, target: LeafDistribution, m: int, counts: TypedPmf) -> ResolutionCode:
+def _assemble(scheme: str, target: LeafDistribution, m: int, counts: TypedPmf) -> ResolutionCode:
     cum = np.concatenate(([0], np.cumsum(counts.counts, dtype=np.int64)))
     n = len(target.codebook)
     return ResolutionCode(
         scheme=scheme,
         m=m,
-        source=p,
         target=target,
         counts=counts,
         cum=_frozen(cum),
@@ -113,7 +96,7 @@ def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
         raise ValueError(f"input length must be in [1, {MAX_INPUT_BITS}] bits")
     target = tunstall.build_tunstall(p, num_codewords)
     counts = mtype.quantize(target.leaf_probs, 1 << m)
-    return _assemble("f2v", p, target, m, counts)
+    return _assemble("f2v", target, m, counts)
 
 
 def encode_word(code: ResolutionCode, u: int) -> tuple[int, ...]:

@@ -22,15 +22,6 @@ from .probdist import (
     min_type_order,
 )
 
-__all__ = [
-    "RateReport",
-    "BoundCheck",
-    "rate_report",
-    "bound_suite",
-    "convergence_probe",
-    "sqrt_gap_policy",
-]
-
 # Relative slack applied to every inequality in bound_suite.
 BOUND_SLACK = 1e-9
 

@@ -24,8 +24,6 @@ import numpy as np
 
 from .probdist import SUM_TOL, TypedPmf, as_prob_vector
 
-__all__ = ["quantize", "brute_force_quantize"]
-
 _MAX_BRUTE_SUPPORT = 8
 _MAX_BRUTE_SIZE = 10**7
 

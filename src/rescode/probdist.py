@@ -13,19 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SUM_TOL",
-    "Pmf",
-    "TypedPmf",
-    "UnboundedRatioError",
-    "as_prob_vector",
-    "entropy",
-    "kl_divergence",
-    "variational_distance",
-    "kl_tv_bound",
-    "min_type_order",
-]
-
 # Construction rejects inputs whose sum strays further than this from 1.
 SUM_TOL = 1e-9
 
@@ -114,10 +101,6 @@ class TypedPmf:
     def alphabet_size(self) -> int:
         return int(self.counts.size)
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.counts > 0)
-
     def probs(self) -> np.ndarray:
         """Real probabilities, computed on demand."""
         return self.counts / self.denominator
@@ -183,7 +166,7 @@ def kl_tv_bound(p, q) -> float:
     mask = pv > 0
     if np.any(qv[mask] <= 0):
         raise UnboundedRatioError("supp(p) must be contained in supp(q)")
-    tv = float(np.abs(pv - qv).sum())
+    tv = variational_distance(pv, qv)
     if tv >= 1.0:
         raise ValueError(f"variational distance {tv!r} >= 1; bound requires TV < 1")
     delta = math.sqrt(tv)
@@ -194,11 +177,8 @@ def kl_tv_bound(p, q) -> float:
 def min_type_order(p: TypedPmf) -> int:
     """Least M for which p is M-type.
 
-    The result is the lcm of the reduced denominators of counts[a]/M over
-    the support; it always divides the stored denominator.
+    The lcm of the reduced denominators M / gcd(c_a, M) equals
+    M / gcd(M, c_1, ..., c_n), prime by prime; it always divides M.
     """
     m = p.denominator
-    order = 1
-    for c in p.counts[p.counts > 0]:
-        order = math.lcm(order, m // math.gcd(int(c), m))
-    return order
+    return m // math.gcd(m, *p.counts.tolist())

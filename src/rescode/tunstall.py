@@ -15,14 +15,6 @@ import numpy as np
 from .codetree import Codebook, LeafDistribution, validate_complete
 from .probdist import Pmf, _frozen
 
-__all__ = [
-    "build_tunstall",
-    "check_balance",
-    "BalanceReport",
-    "is_valid_size",
-    "round_size_down",
-]
-
 # Relative slack for the balance checks, absorbing double-precision drift.
 _BALANCE_SLACK = 1e-9
 

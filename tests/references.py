@@ -1,13 +1,14 @@
 """Slow reference implementations that the fast library code is checked against.
 
-Neither is used by the library: the Tunstall build and the completeness
-check both work on flat arrays there.
+None is used by the library: the Tunstall build and the completeness
+check both work on flat arrays there, and min_type_order takes one gcd.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,3 +71,12 @@ def loop_leaf_probs(pv, leaves) -> np.ndarray:
             acc *= pv[s]
         probs[i] = acc
     return probs
+
+
+def lcm_min_type_order(t) -> int:
+    """Least M for which t is M-type: the lcm of the reduced denominators of counts[a]/M."""
+    m = t.denominator
+    order = 1
+    for c in t.counts[t.counts > 0]:
+        order = math.lcm(order, m // math.gcd(int(c), m))
+    return order

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rescode
-from rescode import Pmf, RandomBitSource, build_code, cli, f2v, generate_stream
+from rescode import Pmf, RandomBitSource, block, build_block_code, build_code, cli, f2v, generate_stream, rate_report
 
 
 def run(capsys, argv):
@@ -78,6 +78,32 @@ class TestCurve:
         layout = (tmp_path / "curve.csv.gnuplot").read_text()
         assert "# scheme=f2v m=6" in layout
         assert layout.startswith("# target_entropy_bits")
+
+    def test_rows_use_p_as_parsed(self, capsys):
+        # Pmf renormalizes this p to a vector that a second Pmf would move again
+        text = "0.46335848984461653,0.3373961461805628,0.1992453639748208"
+        code, out, _ = run(capsys, ["curve", "--p", text, "--m", "10", "--n-list", "5,6", "--round-size"])
+        assert code == 0
+        p = Pmf([float(t) for t in text.split(",")])
+        codes = [build_block_code(p, 5, 10), build_block_code(p, 6, 10), build_code(p, 31, 10), build_code(p, 63, 10)]
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == len(codes)
+        for row, code in zip(rows, codes):
+            r = rate_report(code, p)
+            assert row[:3] == [r.scheme, "10", str(r.num_codewords)]
+            assert [float(v) for v in row[3:]] == [r.n_bits, r.q_bits, r.rate, r.entropy_rate, r.hv_rate,
+                                                   r.kl, r.kl_bound, r.exp_len]
+
+    def test_gnuplot_without_out_is_rejected_before_any_build(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a code was built")
+
+        monkeypatch.setattr(f2v, "build_code", refuse)
+        monkeypatch.setattr(block, "build_block_code", refuse)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curve", "--p", "0.5,0.5", "--m", "30", "--n-list", "2", "--emit-gnuplot"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: --emit-gnuplot requires --out\n"
 
     def test_usage_error_without_sizes(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -241,6 +267,31 @@ def exit_code(argv):
 
 
 class TestUsageErrors:
+    GEN = ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4"]
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--schemes", "f2v,x2y"],
+        ["curve", "--p", "0.5,0.5", "--m", "4"],
+        ["curve", "--p", "0.4,0.3,0.3", "--m", "4", "--n-list", "2"],
+        ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "0", "--seed", "1"],
+        GEN,
+        ["generate", "--p", ",".join([repr(1 / 12)] * 12), "--m", "6", "--size", "12", "--symbols", "21",
+         "--seed", "1"],
+        ["quantize", "--q", "0.5,0.4", "--M", "8"],
+        ["generate", "--p", "0.8,0.2", "--m", "70", "--size", "3", "--symbols", "4", "--seed", "1"],
+        GEN + ["--bits-file", "{missing}"],
+        GEN + ["--seed", "1", "--out", "{missing}"],
+    ], ids=["unknown-scheme", "no-sizes", "unreachable-size", "no-symbols", "no-seed", "text-above-ten",
+            "bad-q", "m-70", "missing-bits-file", "unwritable-out"])
+    def test_one_error_line_and_exit_2(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "no-such-dir" / "x")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([arg.format(missing=missing) for arg in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
     @pytest.mark.parametrize("round_size", [False, True])
     @pytest.mark.parametrize("argv", [
         ["generate", "--p", "1.0", "--m", "4", "--size", "4", "--symbols", "10", "--seed", "1"],
@@ -291,6 +342,19 @@ def test_written_files_get_the_umask_mode(capsys, tmp_path):
     for path in (curve, Path(f"{curve}.gnuplot"), generated):
         assert stat.S_IMODE(path.stat().st_mode) == mode, path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "curve.csv.gnuplot", "plain", "sym.txt"]
+
+
+def test_console_exit_status():
+    src = str(Path(rescode.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def console(*argv):
+        return subprocess.run([sys.executable, "-m", "rescode.cli", *argv], env=env, capture_output=True, text=True)
+
+    error = console("quantize", "--q", "0.5,0.4", "--M", "8")
+    assert error.returncode == 2 and error.stderr.startswith("error: ")
+    done = console("quantize", "--q", "0.64,0.16,0.2", "--M", "8")
+    assert done.returncode == 0 and done.stdout.startswith("counts=5,1,2\n")
 
 
 def test_import_leaves_the_process_pool_unloaded():

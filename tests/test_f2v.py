@@ -134,7 +134,7 @@ def hand_made_code(n, m, seed):
     weights = rng.random(n)
     weights[::5] = 0
     counts = rng.multinomial(1 << m, weights / weights.sum())
-    return f2v._assemble("f2v", p, build_tunstall(p, n), m, TypedPmf(1 << m, counts))
+    return f2v._assemble("f2v", build_tunstall(p, n), m, TypedPmf(1 << m, counts))
 
 
 def interval_map(code):

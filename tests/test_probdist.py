@@ -15,6 +15,7 @@ from rescode import (
     min_type_order,
     variational_distance,
 )
+from references import lcm_min_type_order
 
 LN2 = math.log(2.0)
 
@@ -193,6 +194,12 @@ class TestMinTypeOrder:
     )
     def test_examples(self, m, counts, expected):
         assert min_type_order(TypedPmf(m, counts)) == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=8).filter(any), st.integers(1, 1 << 40))
+    def test_matches_lcm_oracle(self, counts, scale):
+        t = TypedPmf(scale * sum(counts), [scale * c for c in counts])
+        assert min_type_order(t) == lcm_min_type_order(t)
 
     def test_minimality_by_scan(self):
         rng = np.random.default_rng(11)
