@@ -100,8 +100,6 @@ def cmd_curve(args) -> int:
             raise ValueError("either --grid-table or at least one --m is required")
         m_values = sorted(set(args.m))
         pairs = [(m, n) for m in m_values for n in (args.n_list or ())]
-    if not pairs and not args.extra_size:
-        raise ValueError("no codebook sizes requested: give --n-list, --grid-table, or --extra-size")
     schemes = sorted(set(args.schemes.split(",")))
     for s in schemes:
         if s not in ("f2v", "b2b"):
@@ -113,8 +111,11 @@ def cmd_curve(args) -> int:
     points = [("b2b", m, n) for m, n in pairs] if "b2b" in schemes else []
     if "f2v" in schemes:
         for m in m_values:
-            for size in sorted({2**n for pm, n in pairs if pm == m} | set(args.extra_size or ())):
-                points.append(("f2v", m, _reachable_size(d, size, args.round_size)))
+            sizes = sorted({2**n for pm, n in pairs if pm == m} | set(args.extra_size or ()))
+            rounded = {_reachable_size(d, size, args.round_size) for size in sizes}
+            points += [("f2v", m, size) for size in sorted(rounded)]
+    if not points:
+        raise ValueError("no codebook sizes requested: give --n-list, --grid-table, or --extra-size")
 
     rows = [_curve_point(*point, p) for point in points]
     rows.sort(key=lambda r: (r.scheme, r.m, r.num_codewords))

@@ -7,7 +7,9 @@ greedy allocation is a global minimizer.  Allocation is additionally
 capped at counts[a] <= floor(M*q[a]) + 1 so that the output always
 satisfies counts[a]/M <= q[a] + 1/M; the unconstrained optimum can break
 that bound for very lopsided q (one dominant atom plus near-zero atoms),
-and the bound is part of this module's contract.
+and the bound is part of this module's contract.  The greedy keeps one
+heap entry per symbol and does one heap operation per unit, so its cost
+is linear in M.
 
 ``brute_force_quantize`` is an independent oracle that enumerates every
 composition of M over the support.
@@ -22,22 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .probdist import SUM_TOL, TypedPmf, as_prob_vector
+from .probdist import TypedPmf, as_prob_vector, checked_probs
 
 _MAX_BRUTE_SUPPORT = 8
 _MAX_BRUTE_SIZE = 10**7
-
-
-def _checked_target(q) -> np.ndarray:
-    qv = as_prob_vector(q)
-    if np.any(qv < 0) or not np.all(np.isfinite(qv)):
-        raise ValueError("target entries must be finite and nonnegative")
-    s = float(qv.sum())
-    if s <= 0:
-        raise ValueError("target is degenerate: all entries are zero")
-    if abs(s - 1.0) > SUM_TOL:
-        raise ValueError(f"target sums to {s!r}, expected 1 within {SUM_TOL}")
-    return qv
 
 
 def quantize(q, m_units: int) -> TypedPmf:
@@ -49,30 +39,23 @@ def quantize(q, m_units: int) -> TypedPmf:
     m = int(m_units)
     if m < 1:
         raise ValueError("number of units must be a positive integer")
-    qv = _checked_target(q)
-    support = np.flatnonzero(qv > 0)
-    counts = np.zeros(qv.size, dtype=np.int64)
-
-    # marginal cost of unit c+1 on symbol a: (c+1)ln(c+1) - c ln c - ln(M q_a)
-    log_mq = {int(a): math.log(m * qv[a]) for a in support}
-    cap = {int(a): int(math.floor(m * qv[a])) + 1 for a in support}
-
-    def marginal(a: int, c: int) -> float:
-        if c == 0:
-            return -log_mq[a]
-        return (c + 1) * math.log(c + 1) - c * math.log(c) - log_mq[a]
-
-    # (cost, index) entries: equal costs pop in index order, deterministically
-    heap = [(marginal(int(a), 0), int(a)) for a in support]
+    mq = (m * checked_probs(as_prob_vector(q))).tolist()
+    # the caps hold fewer than M units only when M * (1 - sum(q)) swallows their slack
+    if sum(math.floor(x) + 1 for x in mq if x > 0) < m:
+        raise ValueError("target sum is too far from 1 to allocate at this resolution")
+    counts = [0] * len(mq)
+    # One (cost of the next unit, symbol) entry per symbol: equal costs pop in
+    # index order.  Unit c+1 on symbol a costs (c+1)ln(c+1) - c ln c - ln(M q_a).
+    heap = [(-math.log(x), a) for a, x in enumerate(mq) if x > 0]
     heapq.heapify(heap)
     for _ in range(m):
-        if not heap:
-            # only reachable when M * (1 - sum(q)) swallows the cap slack
-            raise ValueError("target sum is too far from 1 to allocate at this resolution")
-        _, a = heapq.heappop(heap)
-        counts[a] += 1
-        if counts[a] < cap[a]:
-            heapq.heappush(heap, (marginal(a, int(counts[a])), a))
+        a = heap[0][1]
+        c = counts[a] + 1
+        counts[a] = c
+        if c <= mq[a]:  # the cap c < floor(M q_a) + 1 leaves room for unit c+1
+            heapq.heapreplace(heap, ((c + 1) * math.log(c + 1) - c * math.log(c) - math.log(mq[a]), a))
+        else:
+            heapq.heappop(heap)
     return TypedPmf(m, counts)
 
 
@@ -104,7 +87,7 @@ def brute_force_quantize(q, m_units: int) -> TypedPmf:
     m = int(m_units)
     if m < 1:
         raise ValueError("number of units must be a positive integer")
-    qv = _checked_target(q)
+    qv = checked_probs(as_prob_vector(q))
     support = np.flatnonzero(qv > 0)
     s = support.size
     if s > _MAX_BRUTE_SUPPORT:

@@ -28,6 +28,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def checked_probs(probs) -> np.ndarray:
+    """probs as a float vector, once it is nonempty, finite, nonnegative and sums to 1 within SUM_TOL."""
+    v = np.asarray(probs, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("probability vector must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
+        raise ValueError("probabilities must be finite and nonnegative")
+    s = float(v.sum())
+    if abs(s - 1.0) > SUM_TOL:
+        raise ValueError(f"probabilities sum to {s!r}, expected 1 within {SUM_TOL}")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function over the symbols 0..D-1.
@@ -39,15 +52,8 @@ class Pmf:
     probs: np.ndarray
 
     def __init__(self, probs) -> None:
-        v = np.asarray(probs, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("probability vector must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("probabilities must be finite and nonnegative")
-        s = float(v.sum())
-        if abs(s - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {s!r}, expected 1 within {SUM_TOL}")
-        object.__setattr__(self, "probs", _frozen(v / s))
+        v = checked_probs(probs)
+        object.__setattr__(self, "probs", _frozen(v / float(v.sum())))
 
     @property
     def alphabet_size(self) -> int:

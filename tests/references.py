@@ -1,7 +1,8 @@
 """Slow reference implementations that the fast library code is checked against.
 
 None is used by the library: the Tunstall build and the completeness
-check both work on flat arrays there, and min_type_order takes one gcd.
+check both work on flat arrays there, min_type_order takes one gcd, and
+quantize keeps one heap entry per symbol and replaces it in place.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from rescode import DuplicateLeafError, IncompleteCodebookError, PrefixViolationError
+from rescode import DuplicateLeafError, IncompleteCodebookError, PrefixViolationError, TypedPmf
 from rescode.codetree import DEFAULT_MAX_LEN
+from rescode.probdist import as_prob_vector, checked_probs
 
 
 def heap_tunstall(pv, n: int):
@@ -80,3 +82,35 @@ def lcm_min_type_order(t) -> int:
     for c in t.counts[t.counts > 0]:
         order = math.lcm(order, m // math.gcd(int(c), m))
     return order
+
+
+def heap_quantize(q, m_units: int):
+    """The greedy M-type allocation with one pop and one push per unit: counts and cost by dicts."""
+    m = int(m_units)
+    if m < 1:
+        raise ValueError("number of units must be a positive integer")
+    qv = checked_probs(as_prob_vector(q))
+    support = np.flatnonzero(qv > 0)
+    counts = np.zeros(qv.size, dtype=np.int64)
+
+    # marginal cost of unit c+1 on symbol a: (c+1)ln(c+1) - c ln c - ln(M q_a)
+    log_mq = {int(a): math.log(m * qv[a]) for a in support}
+    cap = {int(a): int(math.floor(m * qv[a])) + 1 for a in support}
+
+    def marginal(a: int, c: int) -> float:
+        if c == 0:
+            return -log_mq[a]
+        return (c + 1) * math.log(c + 1) - c * math.log(c) - log_mq[a]
+
+    # (cost, index) entries: equal costs pop in index order, deterministically
+    heap = [(marginal(int(a), 0), int(a)) for a in support]
+    heapq.heapify(heap)
+    for _ in range(m):
+        if not heap:
+            # only reachable when M * (1 - sum(q)) swallows the cap slack
+            raise ValueError("target sum is too far from 1 to allocate at this resolution")
+        _, a = heapq.heappop(heap)
+        counts[a] += 1
+        if counts[a] < cap[a]:
+            heapq.heappush(heap, (marginal(a, int(counts[a])), a))
+    return TypedPmf(m, counts)

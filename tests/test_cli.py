@@ -65,6 +65,12 @@ class TestCurve:
             if scheme == "f2v":
                 assert kl <= kl_bound + 1e-9
 
+    def test_sizes_that_round_alike_give_one_row(self, capsys):
+        code, out, _ = run(capsys, ["curve", "--p", "0.5,0.3,0.2", "--m", "10", "--n-list", "5",
+                                    "--extra-size", "31", "--round-size", "--schemes", "f2v"])
+        assert code == 0
+        assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [["f2v", "10", "31"]]
+
     def test_round_trip_floats(self, capsys):
         _, out, _ = run(capsys, ["curve", "--p", "0.211,0.789", "--m", "6", "--n-list", "3",
                                  "--schemes", "f2v"])
@@ -272,6 +278,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--schemes", "f2v,x2y"],
         ["curve", "--p", "0.5,0.5", "--m", "4"],
+        ["curve", "--p", "0.211,0.789", "--m", "12", "--extra-size", "3072", "--schemes", "b2b"],
         ["curve", "--p", "0.4,0.3,0.3", "--m", "4", "--n-list", "2"],
         ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "0", "--seed", "1"],
         GEN,
@@ -281,7 +288,7 @@ class TestUsageErrors:
         ["generate", "--p", "0.8,0.2", "--m", "70", "--size", "3", "--symbols", "4", "--seed", "1"],
         GEN + ["--bits-file", "{missing}"],
         GEN + ["--seed", "1", "--out", "{missing}"],
-    ], ids=["unknown-scheme", "no-sizes", "unreachable-size", "no-symbols", "no-seed", "text-above-ten",
+    ], ids=["unknown-scheme", "no-sizes", "b2b-extra-size-only", "unreachable-size", "no-symbols", "no-seed", "text-above-ten",
             "bad-q", "m-70", "missing-bits-file", "unwritable-out"])
     def test_one_error_line_and_exit_2(self, capsys, tmp_path, argv):
         missing = str(tmp_path / "no-such-dir" / "x")

@@ -103,7 +103,7 @@ def outcome(check, *args):
 
 
 class TestAgainstTupleReference:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(mutated_leaf_sets())
     def test_same_verdict_as_tuple_check(self, instance):
         d, leaves = instance

@@ -283,20 +283,20 @@ def check_against_per_word_oracle(code, bits, chunks):
 
 
 class TestStreamProperties:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(stream_instances())
     def test_matches_per_word_oracle_in_any_chunking(self, instance):
         check_against_per_word_oracle(*instance)
         assert np.array_equal(instance[0].word_table, interval_map(instance[0]))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(stream_instances())
     def test_search_path_matches_per_word_oracle(self, instance):
         with mock.patch.object(f2v, "WORD_TABLE_BITS", 0):
             check_against_per_word_oracle(*instance)
         assert "word_table" not in vars(instance[0])
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(stream_instances(), st.integers(min_value=1, max_value=150), st.integers(min_value=1, max_value=5))
     def test_stream_keeps_its_schedule_in_any_chunk_size(self, instance, min_symbols, chunk_words):
         code, bits, _ = instance

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescode import TypedPmf, brute_force_quantize, kl_divergence, quantize
+from rescode import Pmf, TypedPmf, brute_force_quantize, build_tunstall, kl_divergence, quantize
+from references import heap_quantize
 
 
 def random_target(rng, max_support=5):
@@ -33,6 +34,26 @@ def feasible_exchange_improves(t: TypedPmf, q) -> bool:
     return False
 
 
+def halvings(picks):
+    """A dyadic distribution: starting from [1], halve entry i % len and insert the other half after it."""
+    q = [1.0]
+    for i in picks:
+        i %= len(q)
+        q[i] /= 2
+        q.insert(i + 1, q[i])
+    return q
+
+
+# Supports of 1-40 with zeros, one dominant atom plus tiny ones (the cap
+# binds), repeated values (exact cost ties) and exactly dyadic targets.
+TARGETS = st.one_of(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=40).filter(any),
+    st.lists(st.floats(1e-9, 1e-3), min_size=1, max_size=39).map(lambda tiny: [1.0] + tiny),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=40).filter(any),
+    st.lists(st.integers(0, 39), max_size=39).map(halvings),
+).map(lambda w: np.asarray(w) / np.sum(w))
+
+
 class TestQuantize:
     def test_running_example(self):
         t = quantize([0.64, 0.16, 0.2], 8)
@@ -53,11 +74,24 @@ class TestQuantize:
         t = quantize([0.5, 0.0, 0.5], 16)
         assert t.counts[1] == 0
 
+    @pytest.mark.parametrize("probs", [[0.5, -0.1, 0.6], [0.5, math.nan, 0.5], [0.0, 0.0], [0.5, 0.6]],
+                             ids=["negative", "nan", "all-zero", "sum-1.1"])
+    def test_rejects_what_pmf_rejects(self, probs):
+        with pytest.raises(ValueError) as pmf_error:
+            Pmf(probs)
+        for fn in (quantize, brute_force_quantize):
+            with pytest.raises(ValueError) as error:
+                fn(probs, 8)
+            assert str(error.value) == str(pmf_error.value)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             quantize([0.5, 0.5], 0)
         with pytest.raises(ValueError):
             quantize([0.0, 0.0], 4)
+        # the caps floor(M q) + 1 hold 2^40 - 109 units, short of M = 2^40
+        with pytest.raises(ValueError, match="too far from 1"):
+            quantize([1 - 1e-10], 1 << 40)
 
     def test_bound_enforced_on_lopsided_target(self):
         # the unconstrained KL optimum loads 16/16 on the first atom here,
@@ -88,6 +122,18 @@ class TestBruteForce:
             brute_force_quantize(np.ones(9) / 9, 4)
         with pytest.raises(ValueError):
             brute_force_quantize(np.ones(8) / 8, 4096)
+
+
+class TestAgainstHeapOracle:
+    @settings(max_examples=150)
+    @given(TARGETS, st.integers(1, 1 << 12))
+    def test_same_counts(self, q, m):
+        assert np.array_equal(quantize(q, m).counts, heap_quantize(q, m).counts)
+
+    @pytest.mark.parametrize("p,size,m", [((0.211, 0.789), 3072, 12), ((0.1, 0.2, 0.7), 16385, 16)])
+    def test_same_counts_on_tunstall_leaves(self, p, size, m):
+        leaf_probs = build_tunstall(Pmf(p), size).leaf_probs
+        assert np.array_equal(quantize(leaf_probs, 1 << m).counts, heap_quantize(leaf_probs, 1 << m).counts)
 
 
 class TestOptimality:
@@ -123,7 +169,7 @@ class TestOptimality:
             mu = q[q > 0].min()
             assert kl_divergence(quantize(q, m), q) <= 1.0 / (mu * m) + 1e-12
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         st.integers(2, 4).flatmap(
             lambda k: st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k)

@@ -152,7 +152,7 @@ def tunstall_instances(draw):
 class TestProperties:
     """Facts the construction guarantees, checked here instead of on every build."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(tunstall_instances())
     def test_complete_exact_and_balanced(self, instance):
         p, n = instance
@@ -182,7 +182,7 @@ def oracle_instances(draw):
 class TestHeapOracle:
     """The level-by-level build gives the heap's codebook and bit-identical leaf probabilities."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(oracle_instances())
     def test_matches_heap(self, instance):
         p, n = instance
