@@ -122,11 +122,15 @@ def validate_complete(leaves, alphabet_size: int, *, max_len: int | None = DEFAU
         raise ValueError(f"leaves contain symbols outside [0, {d})")
     # Each leaf must sort strictly before the next and not be its prefix: the
     # first differing cell lies within both leaves and grows.  In sorted order
-    # a prefix pair, if any exists, is adjacent.
-    x, y = table[:-1], table[1:]
-    rows = np.arange(len(book) - 1)
-    first = (x != y).argmax(axis=1)
-    ok = (first < np.minimum(lengths[:-1], lengths[1:])) & (y[rows, first] > x[rows, first])
+    # a prefix pair, if any exists, is adjacent.  Rows are compared in blocks
+    # of about 2^20 cells, so the temporaries stay small next to the table.
+    ok = np.empty(len(book) - 1, dtype=bool)
+    step = max(1, (1 << 20) // table.shape[1])
+    for s in range(0, ok.size, step):
+        e = min(s + step, ok.size)
+        x, y, rows = table[s:e], table[s + 1 : e + 1], np.arange(e - s)
+        first = (x != y).argmax(axis=1)
+        ok[s:e] = (first < np.minimum(lengths[s:e], lengths[s + 1 : e + 1])) & (y[rows, first] > x[rows, first])
     if not ok.all():
         i = int(ok.argmin())
         a, b = (tuple(table[r, : lengths[r]].tolist()) for r in (i, i + 1))

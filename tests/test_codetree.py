@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,30 @@ class TestValidateComplete:
     def test_ternary(self):
         cb = validate_complete([(0,), (1,), (2, 0), (2, 1), (2, 2)], 3)
         assert len(cb) == 5
+
+
+@pytest.fixture(scope="module")
+def skewed_book():
+    """4096 leaves up to 4095 symbols long: a 16.8 MB table, compared in blocks of 256 rows."""
+    return build_tunstall(Pmf([0.999, 0.001]), 1 << 12).codebook
+
+
+class TestValidateSkewedCodebook:
+    def test_peak_memory_well_under_the_table(self, skewed_book):
+        tracemalloc.start()
+        try:
+            validate_complete(skewed_book, 2, max_len=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < skewed_book.table.nbytes / 8
+
+    def test_finds_a_duplicate_past_the_first_block(self, skewed_book):
+        table, lengths = skewed_book.table.copy(), skewed_book.lengths.copy()
+        table[3001], lengths[3001] = table[3000], lengths[3000]
+        with pytest.raises(DuplicateLeafError) as exc:
+            validate_complete(Codebook(alphabet_size=2, table=table, lengths=lengths), 2, max_len=None)
+        assert str(exc.value) == f"duplicate leaf {tuple(table[3000, : lengths[3000]].tolist())}"
 
 
 def flat_codebook(leaves, d):

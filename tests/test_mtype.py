@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescode import Pmf, TypedPmf, brute_force_quantize, build_tunstall, kl_divergence, quantize
+from rescode import (
+    Pmf,
+    TypedPmf,
+    brute_force_quantize,
+    build_tunstall,
+    kl_divergence,
+    leaf_distribution,
+    mtype,
+    product_codebook,
+    quantize,
+)
 from references import heap_quantize
 
 
@@ -87,6 +98,8 @@ class TestQuantize:
     def test_errors(self):
         with pytest.raises(ValueError):
             quantize([0.5, 0.5], 0)
+        with pytest.raises(ValueError, match=r"\[1, 2\^62\]"):
+            quantize([0.5, 0.5], (1 << 62) + 1)
         with pytest.raises(ValueError):
             quantize([0.0, 0.0], 4)
         # the caps floor(M q) + 1 hold 2^40 - 109 units, short of M = 2^40
@@ -130,10 +143,88 @@ class TestAgainstHeapOracle:
     def test_same_counts(self, q, m):
         assert np.array_equal(quantize(q, m).counts, heap_quantize(q, m).counts)
 
-    @pytest.mark.parametrize("p,size,m", [((0.211, 0.789), 3072, 12), ((0.1, 0.2, 0.7), 16385, 16)])
+    # the last one is the sweep's m = 18 f2v point
+    @pytest.mark.parametrize(
+        "p,size,m", [((0.211, 0.789), 3072, 12), ((0.1, 0.2, 0.7), 16385, 16), ((0.211, 0.789), 1 << 16, 18)]
+    )
     def test_same_counts_on_tunstall_leaves(self, p, size, m):
         leaf_probs = build_tunstall(Pmf(p), size).leaf_probs
         assert np.array_equal(quantize(leaf_probs, 1 << m).counts, heap_quantize(leaf_probs, 1 << m).counts)
+
+    def test_same_counts_on_product_leaves(self):
+        # the sweep's m = 18 b2b point: 2^16 leaves with 17 distinct probabilities in exact arithmetic
+        leaf_probs = leaf_distribution(Pmf([0.211, 0.789]), product_codebook(2, 16)).leaf_probs
+        assert np.array_equal(quantize(leaf_probs, 1 << 18).counts, heap_quantize(leaf_probs, 1 << 18).counts)
+
+
+class RoughNumpy:
+    """numpy, with log and log1p `ulps` ulps low and exp scaled by `scale`."""
+
+    def __init__(self, ulps=0, scale=1.0):
+        self.ulps, self.scale = ulps, scale
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        y = np.log(x)
+        return y - self.ulps * np.spacing(np.abs(y))
+
+    def log1p(self, x):
+        y = np.log1p(x)
+        return y - self.ulps * np.spacing(np.abs(y))
+
+    def exp(self, x):
+        return np.exp(x) * self.scale
+
+
+class TestExactBoundaryCheck:
+    """Counts stay the heap's when numpy's logarithms round differently or the closed form is off."""
+
+    # The sweep's b2b point at m = 12 has tie classes whose unit costs sit next to the bisected
+    # threshold: logs a few ulps low, as another build's vector paths may give them, would start
+    # units there that the greedy leaves.  A scaled exp moves the closed-form count by one unit.
+    @pytest.mark.parametrize("rough", [{"ulps": 1}, {"ulps": 3}, {"scale": 1.001}, {"scale": 0.999}],
+                             ids=["logs-1ulp-low", "logs-3ulps-low", "exp-high", "exp-low"])
+    def test_same_counts_with_rough_numpy(self, monkeypatch, rough):
+        leaf_probs = leaf_distribution(Pmf([0.211, 0.789]), product_codebook(2, 9)).leaf_probs
+        expected = heap_quantize(leaf_probs, 1 << 12).counts
+        monkeypatch.setattr(mtype, "np", RoughNumpy(**rough))
+        assert np.array_equal(quantize(leaf_probs, 1 << 12).counts, expected)
+
+
+def stable_costs(c, mq):
+    """Marginal cost of unit c+1 on each atom, ln(c+1) + c*log1p(1/c) - ln(M q_a), in numpy."""
+    c = c.astype(float)
+    return np.log(c + 1) + c * np.log1p(1 / np.maximum(c, 1)) - np.log(mq)
+
+
+@functools.lru_cache(maxsize=None)
+def certificate_target(name):
+    if name == "3-atom":
+        return np.array([0.64, 0.16, 0.2])
+    return build_tunstall(Pmf([0.211, 0.789]), {"tunstall-2^12": 1 << 12, "tunstall-2^16": 1 << 16}[name]).leaf_probs
+
+
+class TestOptimalityCertificate:
+    """At sizes the heap cannot reach, the counts are checked against the optimality conditions."""
+
+    @pytest.mark.parametrize("m", [24, 32, 40, 62])
+    @pytest.mark.parametrize("name", ["3-atom", "tunstall-2^12", "tunstall-2^16"])
+    def test_exchange_condition(self, name, m):
+        q = np.concatenate(([0.0], certificate_target(name)))  # one zero-probability atom up front
+        t = quantize(q, 1 << m)
+        c, mq = t.counts[1:], (1 << m) * q[1:]
+        cap = np.floor(mq).astype(np.int64) + 1
+        assert int(t.counts.sum()) == 1 << m
+        assert t.counts[0] == 0
+        assert np.all(c <= cap)
+        # No unit can move to a cheaper place: every handed-out unit costs at most what any
+        # atom's next unit would, within a few ulps of the costs' size.
+        last = stable_costs(c[c > 0] - 1, mq[c > 0])
+        nxt = stable_costs(c[c < cap], mq[c < cap])
+        ulps = 4 * np.finfo(float).eps * (1 + np.abs(np.log(mq)).max() + math.log((1 << m) + 1))
+        assert last.max() <= nxt.min() + ulps
 
 
 class TestOptimality:

@@ -124,10 +124,9 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.5], [0.5, 0.25, 0.25])
 
-    @given(dist(), dist())
-    def test_nonnegative_and_positive_off_diagonal(self, p, q):
-        if len(p) != len(q):
-            return
+    @given(st.integers(2, 6).flatmap(lambda k: st.tuples(dist(st.just(k)), dist(st.just(k)))))
+    def test_nonnegative_and_positive_off_diagonal(self, pair):
+        p, q = pair
         kl = kl_divergence(p, q)
         assert kl >= -1e-12
         if np.max(np.abs(np.asarray(p) - np.asarray(q))) > 1e-6:
