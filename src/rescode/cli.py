@@ -154,8 +154,9 @@ def _pack_symbols(symbols: np.ndarray, d: int) -> bytes:
 
 
 def _text_lines(symbols: np.ndarray) -> bytes:
-    digits = "".join(str(int(s)) for s in symbols)
-    return "".join(digits[i : i + 64] + "\n" for i in range(0, len(digits), 64)).encode()
+    # one ASCII digit per symbol, and a newline after every 64th symbol and after the last
+    ends = np.minimum(np.arange(64, symbols.size + 64, 64), symbols.size)
+    return np.insert((symbols + 48).astype(np.uint8), ends, 10).tobytes()
 
 
 def cmd_generate(args) -> int:
@@ -219,9 +220,8 @@ def cmd_validate(args) -> int:
 def cmd_quantize(args) -> int:
     q = [float(t) for t in args.q.split(",")]
     result = mtype.quantize(np.asarray(q), args.M)
-    kl = kl_divergence(result, q)
     print("counts=" + ",".join(str(int(c)) for c in result.counts))
-    print(f"kl_bits={kl!r}")
+    print(f"kl_bits={kl_divergence(result, q)!r}")
     return 0
 
 

@@ -143,8 +143,8 @@ def kl_divergence(p, q) -> float:
     """Informational divergence D(p||q) in bits.
 
     Returns ``math.inf`` when some symbol has p > 0 but q = 0.  The sum runs
-    over supp(p) only, and each term is computed as log2 of the ratio to
-    limit cancellation.
+    over supp(p) only, each term is computed as log2 of the ratio to limit
+    cancellation, and a sum that rounds below 0 is returned as 0.
     """
     pv, qv = _aligned(p, q)
     mask = pv > 0
@@ -152,7 +152,7 @@ def kl_divergence(p, q) -> float:
     qs = qv[mask]
     if np.any(qs <= 0):
         return math.inf
-    return float((ps * np.log2(ps / qs)).sum())
+    return max(0.0, float((ps * np.log2(ps / qs)).sum()))
 
 
 def variational_distance(p, q) -> float:

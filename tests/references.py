@@ -1,8 +1,9 @@
 """Slow reference implementations that the fast library code is checked against.
 
 None is used by the library: the Tunstall build and the completeness
-check both work on flat arrays there, min_type_order takes one gcd, and
-quantize keeps one heap entry per symbol and replaces it in place.
+check both work on flat arrays there, min_type_order takes one gcd,
+quantize keeps one heap entry per symbol and replaces it in place, and
+the CLI writes text output as one byte array per chunk.
 """
 
 from __future__ import annotations
@@ -114,3 +115,9 @@ def heap_quantize(q, m_units: int):
         if counts[a] < cap[a]:
             heapq.heappush(heap, (marginal(a, int(counts[a])), a))
     return TypedPmf(m, counts)
+
+
+def digit_lines(symbols) -> bytes:
+    """Text output one symbol at a time: a decimal digit per symbol, 64 to a line, each line ended by a newline."""
+    digits = "".join(str(int(s)) for s in symbols)
+    return "".join(digits[i : i + 64] + "\n" for i in range(0, len(digits), 64)).encode()

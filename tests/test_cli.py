@@ -8,15 +8,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rescode
 from rescode import Pmf, RandomBitSource, block, build_block_code, build_code, cli, f2v, generate_stream, rate_report
+from references import digit_lines
 
 
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_peak(argv):
+    """cli.main's exit code and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCurve:
@@ -206,7 +219,12 @@ class TestGenerate:
         ["--p", ",".join([repr(1 / 300)] * 300), "--m", "10", "--size", "300", "--symbols", "1001",
          "--seed", "7", "--format", "packed"],
         ["--p", "0.5,0.3,0.2", "--m", "9", "--size", "99", "--symbols", "100000", "--bits-file", "{bits}"],
-    ], ids=["text-D3", "packed-D2", "packed-D5", "packed-D300", "bits-file-exhausted"])
+        ["--p", ",".join([repr(1 / 10)] * 10), "--m", "8", "--size", "91", "--symbols", "1001", "--seed", "8"],
+        # 1005 symbols before the file runs out: the last line holds 45 digits
+        ["--p", ",".join([repr(1 / 10)] * 10), "--m", "10", "--size", "190", "--symbols", "100000",
+         "--bits-file", "{bits}", "--format", "text"],
+    ], ids=["text-D3", "packed-D2", "packed-D5", "packed-D300", "bits-file-exhausted", "text-D10",
+            "text-bits-file-exhausted"])
     def test_output_does_not_depend_on_chunk_size(self, capsys, tmp_path, monkeypatch, argv):
         bits = tmp_path / "bits.bin"
         bits.write_bytes(bytes((i * 151 + 7) % 256 for i in range(600)))
@@ -225,14 +243,34 @@ class TestGenerate:
         # cost about 7 B per symbol
         argv = ["generate", "--p", "0.211,0.789", "--m", "12", "--size", "3072", "--symbols", "4000000",
                 "--seed", "42", "--format", "packed", "--out", str(tmp_path / "sym.bin")]
-        tracemalloc.start()
-        try:
-            code = cli.main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(argv)
         assert code == 0
         assert peak < 16 * 2**20
+
+    def test_text_peak_memory_is_bounded(self, capsys, tmp_path):
+        # the benchmark's stream_text code; formatting one Python str per
+        # symbol would peak near 40 MB
+        argv = ["generate", "--p", "0.5,0.3,0.2", "--m", "16", "--size", "16385", "--symbols", "1000000",
+                "--seed", "42", "--format", "text", "--out", str(tmp_path / "sym.txt")]
+        code, peak = traced_peak(argv)
+        assert code == 0
+        assert peak < 16 * 2**20
+
+
+def with_line_boundary_lengths(test):
+    """Add explicit examples at the lengths where lines start and end: 0, 1, 63..65 and 128, 129."""
+    for n in (0, 1, 63, 64, 65, 128, 129):
+        test = example(digits=[(7 * i + 9) % 10 for i in range(n)])(test)
+    return test
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+@settings(max_examples=30)
+@given(digits=st.lists(st.integers(0, 9), max_size=300))
+@with_line_boundary_lengths
+def test_text_lines_match_per_symbol_formatter(d, digits):
+    symbols = np.asarray(digits, dtype=np.uint8) % d
+    assert cli._text_lines(symbols) == digit_lines(symbols)
 
 
 class TestValidate:
@@ -332,6 +370,12 @@ class TestQuantizeCommand:
         lines = out.splitlines()
         assert lines[0] == "counts=5,1,2"
         assert lines[1].startswith("kl_bits=0.0145792")
+
+    def test_kl_is_never_negative(self, capsys):
+        # at M = 2^62 the float sum of the divergence terms rounds to -3.2e-17
+        code, out, _ = run(capsys, ["quantize", "--q", "0.64,0.16,0.2", "--M", str(2**62)])
+        assert code == 0
+        assert out.splitlines()[1] == "kl_bits=0.0"
 
     def test_bad_target_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

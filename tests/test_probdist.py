@@ -136,6 +136,14 @@ class TestKlDivergence:
     def test_zero_on_diagonal(self, p):
         assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
 
+    @given(st.integers(2, 6).flatmap(
+        lambda k: st.tuples(dist(st.just(k)), st.lists(st.floats(-1e-9, 1e-9), min_size=k, max_size=k))))
+    def test_nonnegative_near_the_diagonal(self, pair):
+        # rounding can take the sum of near-zero terms below 0
+        p, eps = pair
+        q = p * (1 + np.asarray(eps))
+        assert kl_divergence(p, q / q.sum()) >= 0.0
+
 
 class TestVariationalDistance:
     def test_identity(self):
