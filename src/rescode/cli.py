@@ -73,10 +73,9 @@ def _reachable_size(d: int, size: int, round_size: bool) -> int:
     """The requested codebook size, or with round_size the largest valid one below it."""
     if tunstall.is_valid_size(d, size):
         return size
-    if not round_size and d >= 2:
-        raise ValueError(
-            f"codebook size {size} is not reachable for alphabet size {d}; pass --round-size to round down"
-        )
+    if d >= 2 and (size < d or not round_size):
+        hint = f"the smallest valid size is {d}" if size < d else "pass --round-size to round down"
+        raise ValueError(f"codebook size {size} is not reachable for alphabet size {d}; {hint}")
     return tunstall.round_size_down(d, size)
 
 
@@ -147,6 +146,8 @@ def _bit_source(args):
 
 
 def _pack_symbols(symbols: np.ndarray, d: int) -> bytes:
+    if d == 2:  # 0/1 symbols are their own bit plane
+        return np.packbits(symbols).tobytes()
     bits_per = max(1, math.ceil(math.log2(d)))
     shifts = np.arange(bits_per - 1, -1, -1, dtype=symbols.dtype)
     bits = ((symbols[:, None] >> shifts) & 1).reshape(-1)

@@ -175,8 +175,8 @@ def product_codebook(alphabet_size: int, n: int) -> Codebook:
         raise ValueError("alphabet size must be at least 2")
     if n < 1:
         raise ValueError("block length must be at least 1")
-    if d**n > MAX_PRODUCT_LEAVES:
-        raise ValueError(f"product codebook would have {d**n} leaves, above the cap {MAX_PRODUCT_LEAVES}")
+    if n > MAX_PRODUCT_LEAVES.bit_length() or d**n > MAX_PRODUCT_LEAVES:  # d**n only for small n
+        raise ValueError(f"product codebook would have D^n = {d}^{n} leaves, above the cap {MAX_PRODUCT_LEAVES}")
     table = np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1).T
     lengths = np.full(d**n, n, dtype=np.int64)
     return Codebook(alphabet_size=d, table=_frozen(np.ascontiguousarray(table)), lengths=_frozen(lengths))

@@ -200,13 +200,22 @@ class RandomBitSource:
 
 
 def _take_words(source, count: int, width: int) -> np.ndarray:
+    # Eight words span width bytes: word 8g + j starts at bit j*width % 8 of byte g*width + j*width // 8.
+    # It is the big-endian 64-bit window there, shifted left by that bit offset and filled from the
+    # top of the ninth byte when it runs into it (only for width > 56), then shifted right to width bits.
     bits = source.take_bits(count * width)
     full = bits.size // width
-    words = np.zeros(full, dtype=np.int64)
-    for column in bits[: full * width].reshape(full, width).T:
-        words <<= 1
-        words |= column
-    return words
+    groups = -(-full // 8)
+    packed = np.zeros((groups + 1) * width + 9, dtype=np.uint8)  # a spare group: every view fits
+    packed[: (full * width + 7) // 8] = np.packbits(bits[: full * width])
+    words = np.empty((groups, 8), dtype=np.uint64)
+    for j in range(8):
+        byte, shift = divmod(j * width, 8)
+        word = np.ndarray(groups, ">u8", packed, byte, (width,)) << shift
+        if shift + width > 64:
+            word |= np.ndarray(groups, np.uint8, packed, byte + 8, (width,)) >> (8 - shift)
+        words[:, j] = word >> (64 - width)
+    return words.reshape(-1)[:full].view(np.int64)
 
 
 def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamResult:

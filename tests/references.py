@@ -2,8 +2,9 @@
 
 None is used by the library: the Tunstall build and the completeness
 check both work on flat arrays there, min_type_order takes one gcd,
-quantize keeps one heap entry per symbol and replaces it in place, and
-the CLI writes text output as one byte array per chunk.
+quantize keeps one heap entry per symbol and replaces it in place, the
+CLI writes text output as one byte array per chunk, and the stream cuts
+its words from packed bytes.
 """
 
 from __future__ import annotations
@@ -121,3 +122,13 @@ def digit_lines(symbols) -> bytes:
     """Text output one symbol at a time: a decimal digit per symbol, 64 to a line, each line ended by a newline."""
     digits = "".join(str(int(s)) for s in symbols)
     return "".join(digits[i : i + 64] + "\n" for i in range(0, len(digits), 64)).encode()
+
+
+def column_words(bits, width: int) -> np.ndarray:
+    """The whole width-bit words of a 0/1 array, MSB-first, by one shift-and-or pass per bit column."""
+    full = bits.size // width
+    words = np.zeros(full, dtype=np.int64)
+    for column in bits[: full * width].reshape(full, width).T:
+        words <<= 1
+        words |= column
+    return words

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rescode
-from rescode import Pmf, RandomBitSource, block, build_block_code, build_code, cli, f2v, generate_stream, rate_report
+from rescode import Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, f2v, generate_stream, rate_report
 from references import digit_lines
 
 
@@ -273,6 +274,14 @@ def test_text_lines_match_per_symbol_formatter(d, digits):
     assert cli._text_lines(symbols) == digit_lines(symbols)
 
 
+@given(st.lists(st.integers(0, 1), max_size=100))
+def test_binary_symbols_pack_as_their_own_bits(bits):
+    symbols = np.asarray(bits, dtype=np.uint8)
+    packed = np.frombuffer(cli._pack_symbols(symbols, 2), dtype=np.uint8)
+    assert packed.size == -(-symbols.size // 8)
+    assert np.unpackbits(packed).tolist() == bits + [0] * (8 * packed.size - symbols.size)
+
+
 class TestValidate:
     def test_exhaustive_pass(self, capsys):
         code, out, _ = run(capsys, ["validate", "--p", "0.8,0.2", "--m", "3", "--size", "3",
@@ -347,6 +356,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "alphabet size must be at least 2" in err
         assert "--round-size" not in err
+
+    @pytest.mark.parametrize("round_size", [False, True])
+    @pytest.mark.parametrize("argv, d", [
+        (["curve", "--p", "0.2,0.8", "--m", "12", "--n-list", "0", "--schemes", "f2v"], 2),
+        (["generate", "--p", "0.2,0.3,0.5", "--m", "8", "--size", "2", "--symbols", "10", "--seed", "1"], 3),
+    ], ids=["curve", "generate"])
+    def test_size_below_the_alphabet_names_the_smallest_size(self, capsys, argv, d, round_size):
+        assert exit_code(argv + ["--round-size"] * round_size) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"the smallest valid size is {d}" in err
+        assert "--round-size" not in err
+
+    @pytest.mark.parametrize("p, n", [("0.2,0.8", 20000), ("0.3,0.3,0.4", 100_000_000)])
+    def test_product_cap_is_checked_without_the_power(self, capsys, p, n):
+        start = time.perf_counter()
+        assert exit_code(["curve", "--p", p, "--m", "12", "--n-list", str(n), "--schemes", "b2b"]) == 2
+        assert time.perf_counter() - start < 5  # 3^(10^8) alone takes minutes
+        err = capsys.readouterr().err
+        assert f"D^n = {p.count(',') + 1}^{n} leaves" in err and f"cap {codetree.MAX_PRODUCT_LEAVES}" in err
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--bits-file", "{missing}"],

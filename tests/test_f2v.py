@@ -23,6 +23,7 @@ from rescode import (
     induced_distribution,
     stream,
 )
+from references import column_words
 
 
 @pytest.fixture
@@ -245,19 +246,26 @@ class TestGenerateStream:
 
 @st.composite
 def stream_instances(draw):
-    """A code (full-support p, D in 2..4, valid N <= 2^8, 2^m >= N, m <= 12),
+    """A code (full-support p, D in 2..4, valid N <= 2^8, 2^m >= N, m <= 62),
     a bit string of whole words plus a partial one, and chunk sizes summing
-    to the word count."""
+    to the word count.
+
+    The codeword counts are a multinomial draw of the 2^m words, assembled
+    directly as in hand_made_code: the stream map does not depend on how
+    they were chosen, and build_code rejects some targets at m >= 57."""
     weights = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=4))
     p = Pmf(np.asarray(weights) / math.fsum(weights))
     d = p.alphabet_size
     n = d + draw(st.integers(min_value=0, max_value=((1 << 8) - d) // (d - 1))) * (d - 1)
-    m = draw(st.integers(min_value=max(1, (n - 1).bit_length()), max_value=12))
+    m = draw(st.integers(min_value=max(1, (n - 1).bit_length()), max_value=f2v.MAX_INPUT_BITS))
     words = draw(st.integers(min_value=0, max_value=40))
-    bits = draw(st.lists(st.integers(0, 1), min_size=words * m, max_size=words * m + m - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    bits = rng.integers(0, 2, size=words * m + draw(st.integers(min_value=0, max_value=m - 1))).tolist()
     cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=words), max_size=4)))
     chunks = np.diff([0, *cuts, words]).tolist()
-    return build_code(p, n, m), bits, chunks
+    target = build_tunstall(p, n)
+    counts = rng.multinomial(1 << m, target.leaf_probs / target.leaf_probs.sum())
+    return f2v._assemble("f2v", target, m, TypedPmf(1 << m, counts)), bits, chunks
 
 
 def check_against_per_word_oracle(code, bits, chunks):
@@ -282,12 +290,39 @@ def check_against_per_word_oracle(code, bits, chunks):
     assert sum(r.output_symbols for r in parts) == one.output_symbols
 
 
+@st.composite
+def word_takes(draw):
+    """A word width, the word counts of successive takes, a bit string that
+    may end before them (or mid-word), and a generator seed."""
+    width = draw(st.integers(min_value=1, max_value=f2v.MAX_INPUT_BITS))
+    takes = draw(st.lists(st.integers(min_value=0, max_value=40), max_size=4))
+    size = draw(st.integers(min_value=0, max_value=(sum(takes) + 1) * width))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return width, takes, np.random.default_rng(seed).integers(0, 2, size=size, dtype=np.uint8), seed
+
+
+class TestWordReader:
+    @settings(max_examples=200)
+    @given(word_takes())
+    def test_matches_the_column_loop_from_every_source(self, tmp_path_factory, instance):
+        width, takes, bits, seed = instance
+        path = tmp_path_factory.getbasetemp() / "words.bin"
+        np.packbits(bits).tofile(path)
+        for make in (lambda: ArrayBitSource(bits), lambda: FileBitSource(path), lambda: RandomBitSource(seed)):
+            source, twin = make(), make()
+            for count in takes:
+                words = f2v._take_words(source, count, width)
+                assert words.dtype == np.int64
+                assert np.array_equal(words, column_words(twin.take_bits(count * width), width))
+
+
 class TestStreamProperties:
     @settings(max_examples=100)
     @given(stream_instances())
     def test_matches_per_word_oracle_in_any_chunking(self, instance):
         check_against_per_word_oracle(*instance)
-        assert np.array_equal(instance[0].word_table, interval_map(instance[0]))
+        if instance[0].m <= f2v.EXHAUSTIVE_BITS:
+            assert np.array_equal(instance[0].word_table, interval_map(instance[0]))
 
     @settings(max_examples=100)
     @given(stream_instances())
