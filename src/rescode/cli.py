@@ -109,6 +109,8 @@ def cmd_curve(args) -> int:
     d = p.alphabet_size
     points = [("b2b", m, n) for m, n in pairs] if "b2b" in schemes else []
     if "f2v" in schemes:
+        if any(not 0 <= n <= f2v.MAX_INPUT_BITS for _, n in pairs):
+            raise ValueError(f"f2v block lengths (--n-list) must be in [0, {f2v.MAX_INPUT_BITS}]")
         for m in m_values:
             sizes = sorted({2**n for pm, n in pairs if pm == m} | set(args.extra_size or ()))
             rounded = {_reachable_size(d, size, args.round_size) for size in sizes}

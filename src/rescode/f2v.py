@@ -32,9 +32,8 @@ EXHAUSTIVE_BITS = 16
 # Most words one generate_stream call of stream() draws; read at each call.
 STREAM_CHUNK_WORDS = 1 << 16
 
-# generate_stream looks words up in the 2^m-entry ResolutionCode.word_table up
-# to this m (at most 4 MB) and searches ``cum`` above it; read at each call.
-WORD_TABLE_BITS = 20
+# ResolutionCode.guide buckets words by their top min(m, GUIDE_BITS) bits (<= 4 MB); read when it is built.
+GUIDE_BITS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +68,13 @@ class ResolutionCode:
         return float((self.counts.probs() * self.codebook.lengths).sum())
 
     @cached_property
-    def word_table(self) -> np.ndarray:
-        """The codeword index of each of the 2^m input words; generate_stream builds it up to WORD_TABLE_BITS."""
-        n = self.num_codewords
-        return _frozen(np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), self.counts.counts))
+    def guide(self) -> np.ndarray:
+        """Chen and Asau's (1974) guide: per bucket, its first word's codeword, or N if a codeword boundary splits it."""
+        n, shift = self.num_codewords, max(0, self.m - GUIDE_BITS)
+        ids = np.arange(n, dtype=np.min_scalar_type(n))
+        first = np.repeat(ids, np.diff(-(-self.cum >> shift)))
+        first[first != np.repeat(ids, np.diff(self.cum >> shift))] = n
+        return _frozen(first)
 
 
 def _assemble(scheme: str, target: LeafDistribution, m: int, counts: TypedPmf) -> ResolutionCode:
@@ -228,10 +230,10 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     if k < 0:
         raise ValueError("number of codewords must be nonnegative")
     words = _take_words(bits, k, code.m)
-    if code.m <= WORD_TABLE_BITS:
-        idx = code.word_table[words]
-    else:
-        idx = np.searchsorted(code.cum, words, side="right") - 1
+    guide = code.guide
+    idx = guide[words >> (code.m + 1 - guide.size.bit_length())]
+    split = np.flatnonzero(idx == code.num_codewords)
+    idx[split] = np.searchsorted(code.cum, words[split], side="right") - 1
     book = code.codebook
     symbols = np.take(book.table, idx, axis=0)[np.take(book.mask, idx, axis=0)]
     result = StreamResult(

@@ -59,10 +59,6 @@ class Pmf:
     def alphabet_size(self) -> int:
         return int(self.probs.size)
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0)
-
     def has_full_support(self) -> bool:
         return bool(np.all(self.probs > 0))
 

@@ -18,6 +18,9 @@ from .probdist import Pmf, _frozen
 # Relative slack for the balance checks, absorbing double-precision drift.
 _BALANCE_SLACK = 1e-9
 
+# Largest codebook build_tunstall accepts, checked before anything is built.
+MAX_LEAVES = 1 << 24
+
 
 def is_valid_size(alphabet_size: int, num_codewords: int) -> bool:
     """True when a D-ary Tunstall tree with exactly this many leaves exists."""
@@ -46,6 +49,8 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
     """
     d = p.alphabet_size
     n = int(num_codewords)
+    if n > MAX_LEAVES:
+        raise ValueError(f"codebook size {n} is above the cap {MAX_LEAVES}")
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
     if not p.has_full_support():

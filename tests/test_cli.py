@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rescode
-from rescode import Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, f2v, generate_stream, rate_report
+from rescode import (Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, encode_word, f2v,
+                     generate_stream, rate_report, tunstall)
 from references import digit_lines
 
 
@@ -145,6 +146,8 @@ class TestCurve:
 
 class TestGenerate:
     ARGS = ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4"]
+    # m above f2v.GUIDE_BITS: about 6% of this N = 2^16 code's words fall in split guide buckets
+    M24 = ["--p", "0.211,0.789", "--m", "24", "--size", "65536", "--symbols", "20000", "--seed", "9"]
 
     def test_deterministic(self, capsys):
         code1, out1, err1 = run(capsys, self.ARGS + ["--seed", "1"])
@@ -224,8 +227,10 @@ class TestGenerate:
         # 1005 symbols before the file runs out: the last line holds 45 digits
         ["--p", ",".join([repr(1 / 10)] * 10), "--m", "10", "--size", "190", "--symbols", "100000",
          "--bits-file", "{bits}", "--format", "text"],
+        M24,
+        M24 + ["--format", "packed"],
     ], ids=["text-D3", "packed-D2", "packed-D5", "packed-D300", "bits-file-exhausted", "text-D10",
-            "text-bits-file-exhausted"])
+            "text-bits-file-exhausted", "text-m24", "packed-m24"])
     def test_output_does_not_depend_on_chunk_size(self, capsys, tmp_path, monkeypatch, argv):
         bits = tmp_path / "bits.bin"
         bits.write_bytes(bytes((i * 151 + 7) % 256 for i in range(600)))
@@ -238,6 +243,21 @@ class TestGenerate:
             chunked = tmp_path / f"{words}.out"
             assert run(capsys, argv + ["--out", str(chunked)]) == expected
             assert chunked.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["text", "packed"])
+    def test_split_guide_buckets_match_encode_word(self, capsys, tmp_path, fmt):
+        out = tmp_path / "sym"
+        code, _, err = run(capsys, ["generate", *self.M24, "--format", fmt, "--out", str(out)])
+        assert code == 0
+        fields = dict(field.split("=") for field in err.split())
+        symbols, words = int(fields["output_symbols"]), int(fields["input_bits"]) // 24
+        data = np.frombuffer(out.read_bytes(), dtype=np.uint8)
+        got = data[data != 10] - 48 if fmt == "text" else np.unpackbits(data)[:symbols]
+        built = build_code(Pmf([0.211, 0.789]), 65536, 24)
+        bits = RandomBitSource(9).take_bits(words * 24).reshape(words, 24).astype(np.int64)
+        us = bits @ (1 << np.arange(23, -1, -1))
+        assert np.count_nonzero(built.guide[us >> (24 - f2v.GUIDE_BITS)] == built.num_codewords) > 10
+        assert got.tolist() == [s for u in us.tolist() for s in encode_word(built, u)]
 
     def test_packed_peak_memory_is_bounded(self, capsys, tmp_path):
         # the benchmark's stream_packed code; holding the whole stream would
@@ -375,6 +395,22 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 5  # 3^(10^8) alone takes minutes
         err = capsys.readouterr().err
         assert f"D^n = {p.count(',') + 1}^{n} leaves" in err and f"cap {codetree.MAX_PRODUCT_LEAVES}" in err
+
+    N_RANGE, N_CAP = f"must be in [0, {f2v.MAX_INPUT_BITS}]", f"above the cap {tunstall.MAX_LEAVES}"
+
+    @pytest.mark.parametrize("argv, names", [
+        (["curve", "--p", "0.3,0.7", "--m", "12", "--n-list", "2000", "--schemes", "f2v"], N_RANGE),
+        (["curve", "--p", "0.3,0.3,0.4", "--m", "12", "--n-list", "100000"], N_RANGE),
+        (["curve", "--p", "0.3,0.7", "--m", "12", "--n-list", "-1", "--schemes", "f2v"], N_RANGE),
+        (["generate", "--p", "0.3,0.7", "--m", "12", "--size", str(10**20), "--symbols", "10", "--seed", "1"], N_CAP),
+        (["generate", "--p", "0.3,0.7", "--m", "40", "--size", str(2**40), "--symbols", "10", "--seed", "1"], N_CAP),
+    ], ids=["curve-n-2000", "curve-n-100000", "curve-n-negative", "generate-1e20", "generate-2^40"])
+    def test_sizes_are_capped_before_any_build(self, capsys, argv, names):
+        start = time.perf_counter()
+        assert exit_code(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--bits-file", "{missing}"],

@@ -142,25 +142,6 @@ def interval_map(code):
     return np.searchsorted(code.cum, np.arange(1 << code.m), side="right") - 1
 
 
-class TestWordTable:
-    def test_table_is_the_interval_map_at_the_cutoff(self):
-        code = hand_made_code(1 << 12, 20, seed=3)
-        assert code.m == f2v.WORD_TABLE_BITS
-        generate_stream(code, RandomBitSource(1), 10)
-        assert "word_table" in vars(code)
-        assert np.array_equal(code.word_table, interval_map(code))
-        assert not code.word_table.flags.writeable
-
-    def test_search_beyond_the_cutoff(self):
-        code = hand_made_code(3072, 24, seed=4)
-        bits = np.random.default_rng(5).integers(0, 2, size=500 * 24 + 7)
-        res = generate_stream(code, ArrayBitSource(bits), 500)
-        words = [int("".join(map(str, bits[j * 24 : (j + 1) * 24])), 2) for j in range(500)]
-        assert res.symbols.tolist() == [s for u in words for s in encode_word(code, u)]
-        assert res.leaf_counts.sum() == 500 and not res.leaf_counts[::5].any()
-        assert "word_table" not in vars(code)
-
-
 class TestGenerateStream:
     def test_bits_000_101(self, running_code):
         res = generate_stream(running_code, ArrayBitSource("000101"), 2)
@@ -290,6 +271,46 @@ def check_against_per_word_oracle(code, bits, chunks):
     assert sum(r.output_symbols for r in parts) == one.output_symbols
 
 
+class TestGuide:
+    def test_table_is_the_interval_map_at_the_cutoff(self):
+        code = hand_made_code(1 << 12, 20, seed=3)
+        assert code.m == f2v.GUIDE_BITS
+        generate_stream(code, RandomBitSource(1), 10)
+        assert "guide" in vars(code)
+        assert np.array_equal(code.guide, interval_map(code))
+        assert not code.guide.flags.writeable
+
+    def test_search_beyond_the_cutoff(self):
+        code = hand_made_code(3072, 24, seed=4)
+        bits = np.random.default_rng(5).integers(0, 2, size=500 * 24 + 7)
+        res = generate_stream(code, ArrayBitSource(bits), 500)
+        words = [int("".join(map(str, bits[j * 24 : (j + 1) * 24])), 2) for j in range(500)]
+        assert res.symbols.tolist() == [s for u in words for s in encode_word(code, u)]
+        assert res.leaf_counts.sum() == 500 and not res.leaf_counts[::5].any()
+        assert code.guide.size == 1 << f2v.GUIDE_BITS
+
+    @settings(max_examples=100)
+    @given(stream_instances(), st.sampled_from([f2v.GUIDE_BITS, 0, 3]))
+    def test_matches_searchsorted_on_every_boundary_word(self, instance, guide_bits):
+        """Each codeword's words cum[i] - 1, cum[i] and cum[i+1] - 1, zero-count codewords included.
+
+        Random words at m > 20 rarely land in a split bucket; guide_bits 0 and 3
+        give small-m codes split buckets too."""
+        code, m = instance[0], instance[0].m
+        words = np.concatenate((code.cum[:-1] - 1, code.cum[:-1], code.cum[1:] - 1))
+        words = words[(words >= 0) & (words < 1 << m)]
+        bits = [int(b) for u in words.tolist() for b in format(u, f"0{m}b")]
+        with mock.patch.object(f2v, "GUIDE_BITS", guide_bits):
+            res = generate_stream(code, ArrayBitSource(bits), words.size)
+        assert code.guide.size == 1 << min(m, guide_bits) <= 1 << f2v.GUIDE_BITS
+        if m <= min(guide_bits, f2v.EXHAUSTIVE_BITS):
+            assert np.array_equal(code.guide, interval_map(code))
+        idx = np.searchsorted(code.cum, words, side="right") - 1
+        book = code.codebook
+        assert res.symbols.tolist() == [s for i in idx for s in book.table[i, : book.lengths[i]].tolist()]
+        assert np.array_equal(res.leaf_counts, np.bincount(idx, minlength=code.num_codewords))
+
+
 @st.composite
 def word_takes(draw):
     """A word width, the word counts of successive takes, a bit string that
@@ -322,14 +343,15 @@ class TestStreamProperties:
     def test_matches_per_word_oracle_in_any_chunking(self, instance):
         check_against_per_word_oracle(*instance)
         if instance[0].m <= f2v.EXHAUSTIVE_BITS:
-            assert np.array_equal(instance[0].word_table, interval_map(instance[0]))
+            assert np.array_equal(instance[0].guide, interval_map(instance[0]))
 
     @settings(max_examples=100)
     @given(stream_instances())
     def test_search_path_matches_per_word_oracle(self, instance):
-        with mock.patch.object(f2v, "WORD_TABLE_BITS", 0):
+        # one bucket over all 2^m words: every word is searched
+        with mock.patch.object(f2v, "GUIDE_BITS", 0):
             check_against_per_word_oracle(*instance)
-        assert "word_table" not in vars(instance[0])
+        assert instance[0].guide.size == 1
 
     @settings(max_examples=100)
     @given(stream_instances(), st.integers(min_value=1, max_value=150), st.integers(min_value=1, max_value=5))
