@@ -16,7 +16,6 @@ from rescode import (
     RandomBitSource,
     bound_suite,
     build_code,
-    encode_word,
     generate_stream,
     rate_report,
 )
@@ -33,7 +32,8 @@ print()
 
 print("feeding the six bits 000 101:")
 res = generate_stream(code, ArrayBitSource("000101"), 2)
-print(f"  words 000 -> {encode_word(code, 0b000)}, 101 -> {encode_word(code, 0b101)}")
+first, second = (tuple(generate_stream(code, ArrayBitSource(word), 1).symbols.tolist()) for word in ("000", "101"))
+print(f"  words 000 -> {first}, 101 -> {second}")
 print(f"  stream: {''.join(map(str, res.symbols))}  ({res.input_bits} bits in, {res.output_symbols} symbols out)")
 print()
 

@@ -36,9 +36,7 @@ from .f2v import (
     ResolutionCode,
     StreamResult,
     build_code,
-    encode_word,
     generate_stream,
-    induced_distribution,
     stream,
 )
 from .block import build_block_code

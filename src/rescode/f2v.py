@@ -5,10 +5,12 @@ codeword through contiguous integer ranges in canonical leaf order, and
 emits the codeword's symbols.  The codeword distribution is exactly the
 2^m-type quantization of the codebook's target leaf distribution.
 
-Bit order is pinned for reproducibility: every bit source serves bits
-most-significant-first, and each m-bit word is built most-significant-bit
-first from consecutive bits.  The seeded source draws 64-bit values from
-a PCG64 generator and serves their bits MSB-first.
+Bit order is pinned for reproducibility: each m-bit word is built
+most-significant-bit first from consecutive bits, which every bit source
+serves packed, MSB-first, as ``take_bits(n) -> (data, skip, count)``: the
+count <= n bits (fewer only when the source runs out) from bit skip < 8
+of the uint8 bytes data on.  The seeded source serves the big-endian
+bytes of 64-bit PCG64 draws.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .probdist import Pmf, TypedPmf, _frozen
 
 # 2^m must stay exact in int64 arithmetic.
 MAX_INPUT_BITS = 62
-
-# Exhaustive enumeration of all inputs is done up to this input length.
-EXHAUSTIVE_BITS = 16
 
 # Most words one generate_stream call of stream() draws; read at each call.
 STREAM_CHUNK_WORDS = 1 << 16
@@ -69,11 +68,11 @@ class ResolutionCode:
 
     @cached_property
     def guide(self) -> np.ndarray:
-        """Chen and Asau's (1974) guide: per bucket, its first word's codeword, or N if a codeword boundary splits it."""
+        """Chen and Asau's (1974) guide: per bucket, its first word's codeword, or N - 1 if a boundary splits it."""
         n, shift = self.num_codewords, max(0, self.m - GUIDE_BITS)
-        ids = np.arange(n, dtype=np.min_scalar_type(n))
+        ids = np.arange(n, dtype=np.min_scalar_type(n - 1))
         first = np.repeat(ids, np.diff(-(-self.cum >> shift)))
-        first[first != np.repeat(ids, np.diff(self.cum >> shift))] = n
+        first[first != np.repeat(ids, np.diff(self.cum >> shift))] = n - 1
         return _frozen(first)
 
 
@@ -101,30 +100,6 @@ def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
     return _assemble("f2v", target, m, counts)
 
 
-def encode_word(code: ResolutionCode, u: int) -> tuple[int, ...]:
-    """Map one m-bit input word (as an integer) to its codeword path."""
-    u = int(u)
-    if not 0 <= u < (1 << code.m):
-        raise ValueError(f"input word {u} outside [0, 2^{code.m})")
-    i = int(np.searchsorted(code.cum, u, side="right")) - 1
-    book = code.codebook
-    return tuple(book.table[i, : book.lengths[i]].tolist())
-
-
-def induced_distribution(code: ResolutionCode) -> TypedPmf:
-    """Distribution of codewords over all 2^m input words, by enumeration.
-
-    Only defined for m up to EXHAUSTIVE_BITS; the result always equals the
-    stored counts (the map is built from them).
-    """
-    if code.m > EXHAUSTIVE_BITS:
-        raise ValueError(f"exhaustive enumeration needs m <= {EXHAUSTIVE_BITS}, got m = {code.m}")
-    words = np.arange(1 << code.m, dtype=np.int64)
-    idx = np.searchsorted(code.cum, words, side="right") - 1
-    hist = np.bincount(idx, minlength=code.num_codewords)
-    return TypedPmf(1 << code.m, hist)
-
-
 @dataclass(frozen=True, eq=False)
 class StreamResult:
     """Generated symbols plus the bookkeeping an empirical check needs."""
@@ -147,7 +122,7 @@ class BitSourceExhausted(RuntimeError):
 
 
 class ArrayBitSource:
-    """Bit source over a fixed array of 0/1 values (or a '0101' string)."""
+    """Bit source over a fixed array of 0/1 values (or a '0101' string), packed once."""
 
     def __init__(self, bits):
         if isinstance(bits, str):
@@ -155,13 +130,13 @@ class ArrayBitSource:
         b = np.asarray(bits, dtype=np.uint8)
         if b.ndim != 1 or np.any(b > 1):
             raise ValueError("bits must be a 1-d sequence of 0/1 values")
-        self._bits = b
+        self._data, self._size = np.packbits(b), b.size
         self._pos = 0
 
-    def take_bits(self, n: int) -> np.ndarray:
-        chunk = self._bits[self._pos : self._pos + n]
-        self._pos += len(chunk)
-        return chunk
+    def take_bits(self, n: int) -> tuple[np.ndarray, int, int]:
+        start, count = self._pos, min(n, self._size - self._pos)
+        self._pos += count
+        return self._data[start // 8 : (start + count + 7) // 8], start % 8, count
 
 
 class FileBitSource:
@@ -172,47 +147,47 @@ class FileBitSource:
         self._path = path
         self._pos = 0
 
-    def take_bits(self, n: int) -> np.ndarray:
+    def take_bits(self, n: int) -> tuple[np.ndarray, int, int]:
         skip = self._pos % 8
         data = np.fromfile(self._path, dtype=np.uint8, count=(skip + n + 7) // 8, offset=self._pos // 8)
-        bits = np.unpackbits(data)[skip : skip + n]
-        self._pos += bits.size
-        return bits
+        count = min(n, 8 * data.size - skip)
+        self._pos += count
+        return data, skip, count
 
 
 class RandomBitSource:
     """Deterministic pseudorandom bits from a seeded PCG64 generator.
 
-    Draws 64-bit values and serves their bits MSB-first; never exhausts.
+    Draws 64-bit values and serves their big-endian bytes; never exhausts.
     """
 
     def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._buffer = np.empty(0, dtype=np.uint8)
+        self._bytes = np.empty(0, dtype=np.uint8)
+        self._skip = 0
 
-    def take_bits(self, n: int) -> np.ndarray:
-        need = n - self._buffer.size
+    def take_bits(self, n: int) -> tuple[np.ndarray, int, int]:
+        need = self._skip + n - 8 * self._bytes.size
         if need > 0:
-            n_words = (need + 63) // 64
-            raw = self._rng.integers(0, 1 << 64, size=n_words, dtype=np.uint64)
-            fresh = np.unpackbits(raw.astype(">u8").view(np.uint8))
-            self._buffer = np.concatenate((self._buffer, fresh))
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+            raw = self._rng.integers(0, 1 << 64, size=(need + 63) // 64, dtype=np.uint64)
+            self._bytes = np.concatenate((self._bytes, raw.astype(">u8").view(np.uint8)))
+        data, skip, end = self._bytes, self._skip, self._skip + n
+        self._bytes, self._skip = data[end // 8 :], end % 8
+        return data[: (end + 7) // 8], skip, n
 
 
 def _take_words(source, count: int, width: int) -> np.ndarray:
-    # Eight words span width bytes: word 8g + j starts at bit j*width % 8 of byte g*width + j*width // 8.
-    # It is the big-endian 64-bit window there, shifted left by that bit offset and filled from the
-    # top of the ninth byte when it runs into it (only for width > 56), then shifted right to width bits.
-    bits = source.take_bits(count * width)
-    full = bits.size // width
+    # Eight words span width bytes: word 8g + j starts at bit s % 8 of byte g*width + s // 8, s = skip + j*width.
+    # It is the big-endian 64-bit window there, shifted left by that bit offset and filled from the top
+    # of the ninth byte when it runs into it (only for width > 56), then shifted right to width bits.
+    data, skip, served = source.take_bits(count * width)
+    full = served // width
     groups = -(-full // 8)
     packed = np.zeros((groups + 1) * width + 9, dtype=np.uint8)  # a spare group: every view fits
-    packed[: (full * width + 7) // 8] = np.packbits(bits[: full * width])
+    packed[: data.size] = data
     words = np.empty((groups, 8), dtype=np.uint64)
     for j in range(8):
-        byte, shift = divmod(j * width, 8)
+        byte, shift = divmod(skip + j * width, 8)
         word = np.ndarray(groups, ">u8", packed, byte, (width,)) << shift
         if shift + width > 64:
             word |= np.ndarray(groups, np.uint8, packed, byte + 8, (width,)) >> (8 - shift)
@@ -232,7 +207,7 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     words = _take_words(bits, k, code.m)
     guide = code.guide
     idx = guide[words >> (code.m + 1 - guide.size.bit_length())]
-    split = np.flatnonzero(idx == code.num_codewords)
+    split = np.flatnonzero(idx == code.num_codewords - 1)  # a bucket that starts in the last codeword ends in it
     idx[split] = np.searchsorted(code.cum, words[split], side="right") - 1
     book = code.codebook
     symbols = np.take(book.table, idx, axis=0)[np.take(book.mask, idx, axis=0)]

@@ -4,7 +4,7 @@ None is used by the library: the Tunstall build and the completeness
 check both work on flat arrays there, min_type_order takes one gcd,
 quantize keeps one heap entry per symbol and replaces it in place, the
 CLI writes text output as one byte array per chunk, and the stream cuts
-its words from packed bytes.
+its words from packed bytes and maps them through its guide table.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ import numpy as np
 from rescode import DuplicateLeafError, IncompleteCodebookError, PrefixViolationError, TypedPmf
 from rescode.codetree import DEFAULT_MAX_LEN
 from rescode.probdist import as_prob_vector, checked_probs
+
+# The widest input length whose 2^m words the tests enumerate one by one.
+EXHAUSTIVE_BITS = 16
 
 
 def heap_tunstall(pv, n: int):
@@ -132,3 +135,22 @@ def column_words(bits, width: int) -> np.ndarray:
         words <<= 1
         words |= column
     return words
+
+
+def served_bits(source, n: int) -> np.ndarray:
+    """The 0/1 bits one take_bits(n) call serves, unpacked from its (data, skip, count)."""
+    data, skip, count = source.take_bits(n)
+    return np.unpackbits(data)[skip : skip + count]
+
+
+def interval_map(code, words=None) -> np.ndarray:
+    """The codeword index of each m-bit word (all 2^m of them by default), by binary search of cum."""
+    words = np.arange(1 << code.m, dtype=np.int64) if words is None else np.asarray(words, dtype=np.int64)
+    if np.any((words < 0) | (words >= 1 << code.m)):
+        raise ValueError(f"input words must lie in [0, 2^{code.m})")
+    return np.searchsorted(code.cum, words, side="right") - 1
+
+
+def induced_counts(code) -> np.ndarray:
+    """How many of the 2^m words the interval map sends to each codeword."""
+    return np.bincount(interval_map(code), minlength=code.num_codewords)

@@ -26,7 +26,6 @@ from rescode import (
     check_balance,
     convergence_probe,
     entropy,
-    induced_distribution,
     kl_divergence,
     kl_tv_bound,
     quantize,
@@ -34,6 +33,7 @@ from rescode import (
     stream,
     variational_distance,
 )
+from references import EXHAUSTIVE_BITS, induced_counts
 
 TARGET = Pmf([0.211, 0.789])
 GRID = {6: (3, 4, 5, 6), 9: (5, 6, 7, 8, 9), 12: (8, 9, 10, 11, 12)}
@@ -149,10 +149,10 @@ def test_criterion_5_exact_induced_distribution(grid_codes):
     checked = 0
     mismatches = 0
     for code, _ in rows:
-        if code.m > 16:
+        if code.m > EXHAUSTIVE_BITS:
             continue
         checked += 1
-        if not np.array_equal(induced_distribution(code).counts, code.counts.counts):
+        if not np.array_equal(induced_counts(code), code.counts.counts):
             mismatches += 1
     ok = mismatches == 0 and checked == len(rows)
     assert report(5, ok, f"{checked} codes enumerated exhaustively, {mismatches} mismatches")

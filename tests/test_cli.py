@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rescode
-from rescode import (Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, encode_word, f2v,
-                     generate_stream, rate_report, tunstall)
-from references import digit_lines
+from rescode import (Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, f2v, generate_stream,
+                     rate_report, tunstall)
+from references import digit_lines, interval_map, served_bits
 
 
 def run(capsys, argv):
@@ -254,10 +254,12 @@ class TestGenerate:
         data = np.frombuffer(out.read_bytes(), dtype=np.uint8)
         got = data[data != 10] - 48 if fmt == "text" else np.unpackbits(data)[:symbols]
         built = build_code(Pmf([0.211, 0.789]), 65536, 24)
-        bits = RandomBitSource(9).take_bits(words * 24).reshape(words, 24).astype(np.int64)
+        bits = served_bits(RandomBitSource(9), words * 24).reshape(words, 24).astype(np.int64)
         us = bits @ (1 << np.arange(23, -1, -1))
-        assert np.count_nonzero(built.guide[us >> (24 - f2v.GUIDE_BITS)] == built.num_codewords) > 10
-        assert got.tolist() == [s for u in us.tolist() for s in encode_word(built, u)]
+        idx = interval_map(built, us)
+        marked = built.guide[us >> (24 - f2v.GUIDE_BITS)] == built.num_codewords - 1
+        assert np.count_nonzero(marked & (idx != built.num_codewords - 1)) > 10  # words of split buckets
+        assert got.tolist() == [s for i in idx.tolist() for s in built.codebook.leaves[i]]
 
     def test_packed_peak_memory_is_bounded(self, capsys, tmp_path):
         # the benchmark's stream_packed code; holding the whole stream would
@@ -307,8 +309,8 @@ class TestValidate:
         code, out, _ = run(capsys, ["validate", "--p", "0.8,0.2", "--m", "3", "--size", "3",
                                     "--symbols", "20000", "--seed", "7", "--tv-threshold", "0.05"])
         assert code == 0
-        assert "exhaustive_induced_equals_counts=True" in out
-        assert out.strip().endswith("PASS")
+        assert [line.split("=")[0] for line in out.split()] == [
+            "codewords", "output_symbols", "empirical_rate", "code_kl_bits", "tv_empirical_vs_code", "threshold", "PASS"]
 
     def test_uniform_passes_tight_threshold(self, capsys):
         # the sample must be large enough for the multinomial noise floor
@@ -329,7 +331,7 @@ class TestValidate:
         code, out, _ = run(capsys, ["validate", "--p", probs, "--m", "10", "--size", "300",
                                     "--symbols", "100000", "--seed", "1", "--tv-threshold", "0.1"])
         assert code == 0
-        assert "exhaustive_induced_equals_counts=True" in out
+        assert out.strip().endswith("PASS")
 
 
 def exit_code(argv):
@@ -404,7 +406,13 @@ class TestUsageErrors:
         (["curve", "--p", "0.3,0.7", "--m", "12", "--n-list", "-1", "--schemes", "f2v"], N_RANGE),
         (["generate", "--p", "0.3,0.7", "--m", "12", "--size", str(10**20), "--symbols", "10", "--seed", "1"], N_CAP),
         (["generate", "--p", "0.3,0.7", "--m", "40", "--size", str(2**40), "--symbols", "10", "--seed", "1"], N_CAP),
-    ], ids=["curve-n-2000", "curve-n-100000", "curve-n-negative", "generate-1e20", "generate-2^40"])
+        # a size no ternary tree reaches: the cap, with the size as requested, comes before the rounding hint
+        (["generate", "--p", "0.3,0.3,0.4", "--m", "12", "--size", str(10**20), "--symbols", "10", "--seed", "1"],
+         f"codebook size {10**20} is {N_CAP}"),
+        (["generate", "--p", "0.3,0.3,0.4", "--m", "12", "--size", str(10**20), "--symbols", "10", "--seed", "1",
+          "--round-size"], f"codebook size {10**20} is {N_CAP}"),
+    ], ids=["curve-n-2000", "curve-n-100000", "curve-n-negative", "generate-1e20", "generate-2^40",
+            "generate-ternary-1e20", "generate-ternary-1e20-round-size"])
     def test_sizes_are_capped_before_any_build(self, capsys, argv, names):
         start = time.perf_counter()
         assert exit_code(argv) == 2

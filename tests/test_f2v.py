@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rescode import (
@@ -16,14 +16,17 @@ from rescode import (
     TypedPmf,
     build_code,
     build_tunstall,
-    encode_word,
     entropy,
     f2v,
     generate_stream,
-    induced_distribution,
     stream,
 )
-from references import column_words
+from references import EXHAUSTIVE_BITS, column_words, induced_counts, interval_map, served_bits
+
+
+def codeword(code, u):
+    """Word u's codeword path, by the interval map oracle."""
+    return code.codebook.leaves[interval_map(code, [u])[0]]
 
 
 @pytest.fixture
@@ -42,8 +45,8 @@ class TestBuildCode:
     def test_trivial_one_bit(self):
         code = build_code(Pmf([0.5, 0.5]), 2, 1)
         assert list(code.counts.counts) == [1, 1]
-        assert encode_word(code, 0) == (0,)
-        assert encode_word(code, 1) == (1,)
+        assert codeword(code, 0) == (0,)
+        assert codeword(code, 1) == (1,)
 
     def test_experiment_excess(self):
         code = build_code(Pmf([0.211, 0.789]), 3072, 12)
@@ -59,24 +62,24 @@ class TestBuildCode:
 class TestEncodeWord:
     @pytest.mark.parametrize("u,leaf", [(0, (0, 0)), (4, (0, 0)), (5, (0, 1)), (6, (1,)), (7, (1,))])
     def test_range_table(self, running_code, u, leaf):
-        assert encode_word(running_code, u) == leaf
+        assert codeword(running_code, u) == leaf
 
     def test_out_of_range(self, running_code):
         with pytest.raises(ValueError):
-            encode_word(running_code, 8)
+            codeword(running_code, 8)
         with pytest.raises(ValueError):
-            encode_word(running_code, -1)
+            codeword(running_code, -1)
 
 
 class TestInducedDistribution:
     def test_exhaustive_equals_counts(self, running_code):
-        ind = induced_distribution(running_code)
-        assert ind.denominator == 8
-        assert list(ind.counts) == [5, 1, 2]
+        ind = induced_counts(running_code)
+        assert ind.sum() == 8
+        assert list(ind) == [5, 1, 2]
 
     def test_trivial(self):
         code = build_code(Pmf([0.5, 0.5]), 2, 1)
-        assert list(induced_distribution(code).counts) == [1, 1]
+        assert list(induced_counts(code)) == [1, 1]
 
     def test_counts_sum_invariant(self):
         code = build_code(Pmf([0.3, 0.7]), 6, 9)
@@ -89,12 +92,7 @@ class TestInducedDistribution:
             m = int(rng.integers(2, 13))
             n_cw = int(rng.integers(2, min(2**m, 200) + 1))
             code = build_code(p, n_cw, m)
-            assert np.array_equal(induced_distribution(code).counts, code.counts.counts)
-
-    def test_beyond_exhaustive_range_is_rejected(self):
-        code = build_code(Pmf([0.5, 0.5]), 2, 17)
-        with pytest.raises(ValueError, match="exhaustive"):
-            induced_distribution(code)
+            assert np.array_equal(induced_counts(code), code.counts.counts)
 
 
 class TestInvariants:
@@ -138,10 +136,6 @@ def hand_made_code(n, m, seed):
     return f2v._assemble("f2v", build_tunstall(p, n), m, TypedPmf(1 << m, counts))
 
 
-def interval_map(code):
-    return np.searchsorted(code.cum, np.arange(1 << code.m), side="right") - 1
-
-
 class TestGenerateStream:
     def test_bits_000_101(self, running_code):
         res = generate_stream(running_code, ArrayBitSource("000101"), 2)
@@ -166,7 +160,7 @@ class TestGenerateStream:
         # generator's first 64-bit draw (stream stability is documented)
         first_word = 9441442522235856127
         expected = format(first_word, "064b")[:16]
-        got = "".join(str(b) for b in RandomBitSource(1).take_bits(16))
+        got = "".join(str(b) for b in served_bits(RandomBitSource(1), 16))
         assert got == expected == "1000001100000110"
 
     def test_chunking_matches_one_shot(self, running_code):
@@ -181,14 +175,32 @@ class TestGenerateStream:
         res = generate_stream(running_code, FileBitSource(path), 2)
         assert list(res.symbols) == [0, 0, 0, 1]
 
-    def test_file_source_serves_the_file_bits_in_any_takes(self, tmp_path):
-        data = np.random.default_rng(8).integers(0, 256, size=50, dtype=np.uint8)
-        path = tmp_path / "bits.bin"
-        data.tofile(path)
-        source = FileBitSource(path)
-        taken = [source.take_bits(n) for n in (0, 3, 5, 8, 13, 0, 64, 1, 300, 10, 4)]
-        assert [t.size for t in taken] == [0, 3, 5, 8, 13, 0, 64, 1, 300, 6, 0]
-        assert np.array_equal(np.concatenate(taken), np.unpackbits(data))
+    @pytest.mark.parametrize("kind", ["array", "file", "random"])
+    @settings(max_examples=60)
+    @given(bits=st.lists(st.integers(0, 1), max_size=400), takes=st.lists(st.integers(0, 300), max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    @example(bits=np.unpackbits(np.random.default_rng(8).integers(0, 256, size=50, dtype=np.uint8)).tolist(),
+             takes=[0, 3, 5, 8, 13, 0, 64, 1, 300, 10, 4], seed=8)
+    def test_every_source_serves_its_bits_in_any_takes(self, tmp_path_factory, kind, bits, takes, seed):
+        """Each take serves, packed, the next bits of the source: all n of them, or what is left."""
+        bits = np.asarray(bits, dtype=np.uint8)
+        if kind == "random":  # the MSB-first bits of the generator's 64-bit draws, without end
+            draws = np.random.Generator(np.random.PCG64(seed)).integers(
+                0, 1 << 64, size=-(-sum(takes) // 64), dtype=np.uint64)
+            source, expected = RandomBitSource(seed), np.unpackbits(draws.astype(">u8").view(np.uint8))
+        elif kind == "file":  # whole bytes: the file ends in the zero bits that pad the last one
+            path = tmp_path_factory.getbasetemp() / "bits.bin"
+            np.packbits(bits).tofile(path)
+            source, expected = FileBitSource(path), np.unpackbits(np.packbits(bits))
+        else:
+            source, expected = ArrayBitSource(bits), bits
+        pos = 0
+        for n in takes:
+            data, skip, count = source.take_bits(n)
+            assert data.dtype == np.uint8 and 0 <= skip < 8 and data.size == (skip + count + 7) // 8
+            assert count == min(n, expected.size - pos)
+            assert np.array_equal(np.unpackbits(data)[skip : skip + count], expected[pos : pos + count])
+            pos += count
 
     def test_file_source_reads_only_what_it_serves(self, running_code, tmp_path):
         path = tmp_path / "big.bin"
@@ -250,10 +262,10 @@ def stream_instances(draw):
 
 
 def check_against_per_word_oracle(code, bits, chunks):
-    """One-shot and chunked generate_stream calls against encode_word, word by word."""
+    """One-shot and chunked generate_stream calls against the interval map, word by word."""
     m, words = code.m, sum(chunks)
     index = {leaf: i for i, leaf in enumerate(code.codebook.leaves)}
-    leaves = [encode_word(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2)) for j in range(words)]
+    leaves = [codeword(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2)) for j in range(words)]
     expected = [s for leaf in leaves for s in leaf]
     expected_counts = np.bincount([index[leaf] for leaf in leaves], minlength=code.num_codewords)
 
@@ -280,12 +292,19 @@ class TestGuide:
         assert np.array_equal(code.guide, interval_map(code))
         assert not code.guide.flags.writeable
 
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16), (1 << 16, np.uint16)])
+    def test_table_keeps_the_width_of_a_codeword_index(self, n, dtype):
+        # the split marker N - 1 is itself a codeword index, so N = 2^8 and 2^16 need no wider dtype
+        code = hand_made_code(n, f2v.GUIDE_BITS, seed=6)
+        assert code.guide.dtype == dtype
+        assert np.array_equal(code.guide, interval_map(code))
+
     def test_search_beyond_the_cutoff(self):
         code = hand_made_code(3072, 24, seed=4)
         bits = np.random.default_rng(5).integers(0, 2, size=500 * 24 + 7)
         res = generate_stream(code, ArrayBitSource(bits), 500)
         words = [int("".join(map(str, bits[j * 24 : (j + 1) * 24])), 2) for j in range(500)]
-        assert res.symbols.tolist() == [s for u in words for s in encode_word(code, u)]
+        assert res.symbols.tolist() == [s for u in words for s in codeword(code, u)]
         assert res.leaf_counts.sum() == 500 and not res.leaf_counts[::5].any()
         assert code.guide.size == 1 << f2v.GUIDE_BITS
 
@@ -303,9 +322,9 @@ class TestGuide:
         with mock.patch.object(f2v, "GUIDE_BITS", guide_bits):
             res = generate_stream(code, ArrayBitSource(bits), words.size)
         assert code.guide.size == 1 << min(m, guide_bits) <= 1 << f2v.GUIDE_BITS
-        if m <= min(guide_bits, f2v.EXHAUSTIVE_BITS):
+        if m <= min(guide_bits, EXHAUSTIVE_BITS):
             assert np.array_equal(code.guide, interval_map(code))
-        idx = np.searchsorted(code.cum, words, side="right") - 1
+        idx = interval_map(code, words)
         book = code.codebook
         assert res.symbols.tolist() == [s for i in idx for s in book.table[i, : book.lengths[i]].tolist()]
         assert np.array_equal(res.leaf_counts, np.bincount(idx, minlength=code.num_codewords))
@@ -334,7 +353,7 @@ class TestWordReader:
             for count in takes:
                 words = f2v._take_words(source, count, width)
                 assert words.dtype == np.int64
-                assert np.array_equal(words, column_words(twin.take_bits(count * width), width))
+                assert np.array_equal(words, column_words(served_bits(twin, count * width), width))
 
 
 class TestStreamProperties:
@@ -342,7 +361,7 @@ class TestStreamProperties:
     @given(stream_instances())
     def test_matches_per_word_oracle_in_any_chunking(self, instance):
         check_against_per_word_oracle(*instance)
-        if instance[0].m <= f2v.EXHAUSTIVE_BITS:
+        if instance[0].m <= EXHAUSTIVE_BITS:
             assert np.array_equal(instance[0].guide, interval_map(instance[0]))
 
     @settings(max_examples=100)
@@ -358,7 +377,7 @@ class TestStreamProperties:
     def test_stream_keeps_its_schedule_in_any_chunk_size(self, instance, min_symbols, chunk_words):
         code, bits, _ = instance
         m = code.m
-        leaves = [encode_word(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2))
+        leaves = [codeword(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2))
                   for j in range(len(bits) // m)]
         # the schedule: rounds of int(remaining / exp_len) + 1 words until
         # min_symbols symbols are out or the whole words run out
