@@ -18,7 +18,8 @@ p = Pmf([0.8, 0.2])
 print("growing a codebook for p = (0.8, 0.2):")
 for n in (3, 4, 5):
     ld = build_tunstall(p, n)
-    paths = ["".join(map(str, x)) for x in ld.codebook.leaves]
+    book = ld.codebook
+    paths = ["".join(map(str, row[:k])) for row, k in zip(book.table.tolist(), book.lengths.tolist())]
     print(f"  N={n}: leaves {paths}, probs {[round(float(v), 4) for v in ld.leaf_probs]}")
 print()
 
@@ -35,5 +36,5 @@ big = build_tunstall(target, 3072)
 rep = check_balance(big, target.mu())
 print(f"N=3072 for p=(0.211, 0.789):")
 print(f"  expected codeword length {big.expected_len:.3f} symbols")
-print(f"  depth range {min(len(x) for x in big.codebook.leaves)}..{big.codebook.max_len()}")
+print(f"  depth range {big.codebook.lengths.min()}..{big.codebook.max_len()}")
 print(f"  balance ratio {rep.ratio:.3f} (bound {1 / target.mu():.3f}), ok={rep.ok}")

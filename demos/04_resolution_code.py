@@ -24,10 +24,11 @@ p = Pmf([0.8, 0.2])
 code = build_code(p, 3, 3)
 
 print("codebook and map for p=(0.8, 0.2), N=3 codewords, m=3 bits:")
-for i, leaf in enumerate(code.codebook.leaves):
+book = code.codebook
+for i, (row, n) in enumerate(zip(book.table.tolist(), book.lengths.tolist())):
     lo, hi = code.cum[i], code.cum[i + 1]
     words = ", ".join(f"{u:03b}" for u in range(lo, hi))
-    print(f"  {''.join(map(str, leaf)):>3s}  <- words [{words}]  (P = {int(code.counts.counts[i])}/8)")
+    print(f"  {''.join(map(str, row[:n])):>3s}  <- words [{words}]  (P = {int(code.counts.counts[i])}/8)")
 print()
 
 print("feeding the six bits 000 101:")

@@ -27,10 +27,9 @@ from .codetree import (
     validate_complete,
 )
 from .tunstall import BalanceReport, build_tunstall, check_balance, is_valid_size, round_size_down
-from .mtype import brute_force_quantize, quantize
+from .mtype import quantize
 from .f2v import (
     ArrayBitSource,
-    BitSourceExhausted,
     FileBitSource,
     RandomBitSource,
     ResolutionCode,

@@ -136,8 +136,8 @@ def cmd_curve(args) -> int:
 
 
 def _code_and_bits(args):
-    if args.symbols < 1:
-        raise ValueError("--symbols must be at least 1")
+    if not 1 <= args.symbols <= sys.float_info.max:  # the stream schedule divides it as a float
+        raise ValueError(f"--symbols must be in [1, {sys.float_info.max!r}]")
     code = f2v.build_code(args.p, _reachable_size(args.p.alphabet_size, args.size, args.round_size), args.m)
     if args.bits_file:
         return code, f2v.FileBitSource(args.bits_file)
@@ -190,6 +190,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if not args.tv_threshold >= 0:
+        raise ValueError("--tv-threshold must be a number, at least 0")
     code, source = _code_and_bits(args)
     input_bits = output_symbols = leaf_counts = 0
     for chunk in f2v.stream(code, source, args.symbols):

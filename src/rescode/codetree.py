@@ -51,8 +51,8 @@ class Codebook:
     ``table`` holds leaf i's symbols in row i of a ``[N, max_len]`` matrix
     in the smallest unsigned dtype that holds D - 1, zero past the leaf's
     length ``lengths[i]`` (int64).  ``mask``, the ``[N, max_len]`` cells of
-    ``table`` that hold a symbol, and ``leaves``, the paths as a tuple of
-    tuples, are built on first use.  All are read-only.
+    ``table`` that hold a symbol, is built on first use; all are read-only.
+    ``leaves`` rebuilds the paths as tuples for the benchmark's oracle.
     """
 
     alphabet_size: int
@@ -66,7 +66,7 @@ class Codebook:
     def mask(self) -> np.ndarray:
         return _frozen(np.arange(self.max_len()) < self.lengths[:, None])
 
-    @cached_property
+    @property
     def leaves(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(row[:n].tolist()) for row, n in zip(self.table, self.lengths))
 

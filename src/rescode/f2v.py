@@ -110,17 +110,6 @@ class StreamResult:
     leaf_counts: np.ndarray
 
 
-class BitSourceExhausted(RuntimeError):
-    """The bit source ran out mid-stream; ``result`` holds what was emitted."""
-
-    def __init__(self, result: StreamResult):
-        self.result = result
-        super().__init__(
-            f"bit source exhausted after {result.output_symbols} symbols "
-            f"({result.input_bits} bits consumed)"
-        )
-
-
 class ArrayBitSource:
     """Bit source over a fixed array of 0/1 values (or a '0101' string), packed once."""
 
@@ -198,8 +187,8 @@ def _take_words(source, count: int, width: int) -> np.ndarray:
 def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamResult:
     """Consume m bits per codeword and emit the concatenated codeword symbols.
 
-    Raises BitSourceExhausted (with the partial result attached) when the
-    source cannot supply all requested words.
+    A source that runs out serves fewer words: then input_bits < k * m,
+    and the result holds the whole words it did serve.
     """
     k = int(num_codewords)
     if k < 0:
@@ -211,15 +200,12 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     idx[split] = np.searchsorted(code.cum, words[split], side="right") - 1
     book = code.codebook
     symbols = np.take(book.table, idx, axis=0)[np.take(book.mask, idx, axis=0)]
-    result = StreamResult(
+    return StreamResult(
         symbols=symbols,
         input_bits=int(words.size) * code.m,
         output_symbols=int(symbols.size),
         leaf_counts=np.bincount(idx, minlength=code.num_codewords),
     )
-    if words.size < k:
-        raise BitSourceExhausted(result)
-    return result
 
 
 def stream(code: ResolutionCode, bits, min_symbols: int):
@@ -227,15 +213,15 @@ def stream(code: ResolutionCode, bits, min_symbols: int):
 
     Each round draws int(remaining / exp_len) + 1 words in generate_stream calls
     of at most STREAM_CHUNK_WORDS words; the symbols do not depend on that size.
+    A short chunk, possibly empty, is the last one: the source ran out.
     """
     total = 0
     while total < min_symbols:
         words = int((min_symbols - total) / code.exp_len) + 1
         for start in range(0, words, STREAM_CHUNK_WORDS):
-            try:
-                result = generate_stream(code, bits, min(STREAM_CHUNK_WORDS, words - start))
-            except BitSourceExhausted as exc:
-                yield exc.result
-                return
+            k = min(STREAM_CHUNK_WORDS, words - start)
+            result = generate_stream(code, bits, k)
             total += result.output_symbols
             yield result
+            if result.input_bits < k * code.m:
+                return

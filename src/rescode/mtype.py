@@ -16,24 +16,16 @@ start (a bisected Lagrange threshold, and in numpy each value's number of
 units below it), an exact boundary check (costs within a few ulps of the
 threshold are recomputed with ``math.log``) and a heap finish (the greedy
 loop hands out the rest to the atoms that can still take a unit).
-
-``brute_force_quantize`` is an independent oracle that enumerates every
-composition of M over the support.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .probdist import TypedPmf, as_prob_vector, checked_probs
-
-_MAX_BRUTE_SUPPORT = 8
-_MAX_BRUTE_SIZE = 10**7
 
 
 def _unit_cost(c, log_mq, log=math.log, log1p=math.log1p):
@@ -97,50 +89,3 @@ def quantize(q, m_units: int) -> TypedPmf:
     out = np.zeros(mq.size, dtype=np.int64)
     out[support] = counts
     return TypedPmf(m, out)
-
-
-@lru_cache(maxsize=32)
-def _compositions(m: int, parts: int) -> np.ndarray:
-    """All compositions of m into `parts` nonnegative parts, ascending lex order."""
-    if parts == 1:
-        return np.array([[m]], dtype=np.int64)
-    n_rows = math.comb(m + parts - 1, parts - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(m + parts - 1), parts - 1)),
-        dtype=np.int64,
-        count=n_rows * (parts - 1),
-    ).reshape(n_rows, parts - 1)
-    out = np.empty((n_rows, parts), dtype=np.int64)
-    out[:, 0] = bars[:, 0]
-    out[:, 1:-1] = bars[:, 1:] - bars[:, :-1] - 1
-    out[:, -1] = m + parts - 2 - bars[:, -1]
-    return out
-
-
-def brute_force_quantize(q, m_units: int) -> TypedPmf:
-    """Exhaustive minimizer of D(c/M || q) over all compositions of M.
-
-    On exact divergence ties the count vector that loads the smallest
-    symbol indices wins (matching the greedy tie-break).  Only feasible
-    for small supports; raises when the instance is too large.
-    """
-    m = int(m_units)
-    if m < 1:
-        raise ValueError("number of units must be a positive integer")
-    qv = checked_probs(as_prob_vector(q))
-    support = np.flatnonzero(qv > 0)
-    s = support.size
-    if s > _MAX_BRUTE_SUPPORT:
-        raise ValueError(f"instance too large: support {s} > {_MAX_BRUTE_SUPPORT}")
-    if math.comb(m + s - 1, s - 1) > _MAX_BRUTE_SIZE:
-        raise ValueError("instance too large: too many compositions to enumerate")
-    comps = _compositions(m, s)
-    probs = comps / m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(comps > 0, probs * np.log2(probs / qv[support]), 0.0)
-    kl = terms.sum(axis=1)
-    winners = np.flatnonzero(kl == kl.min())
-    best = comps[winners[-1]]
-    counts = np.zeros(qv.size, dtype=np.int64)
-    counts[support] = best
-    return TypedPmf(m, counts)

@@ -2,9 +2,11 @@
 
 None is used by the library: the Tunstall build and the completeness
 check both work on flat arrays there, min_type_order takes one gcd,
-quantize keeps one heap entry per symbol and replaces it in place, the
-CLI writes text output as one byte array per chunk, and the stream cuts
-its words from packed bytes and maps them through its guide table.
+quantize keeps one heap entry per symbol and replaces it in place (and
+brute_force_quantize enumerates every composition instead), codebooks are
+read through their table and lengths (paths turns them back into tuples),
+the CLI writes text output as one byte array per chunk, and the stream
+cuts its words from packed bytes and maps them through its guide table.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +25,10 @@ from rescode.probdist import as_prob_vector, checked_probs
 
 # The widest input length whose 2^m words the tests enumerate one by one.
 EXHAUSTIVE_BITS = 16
+
+# The largest support and number of compositions brute_force_quantize enumerates.
+_MAX_BRUTE_SUPPORT = 8
+_MAX_BRUTE_SIZE = 10**7
 
 
 def heap_tunstall(pv, n: int):
@@ -39,6 +46,11 @@ def heap_tunstall(pv, n: int):
             heapq.heappush(heap, (neg * pv[a], path + (a,)))
     items = sorted((path, -neg) for neg, path in heap)
     return tuple(path for path, _ in items), np.array([prob for _, prob in items], dtype=float)
+
+
+def paths(book) -> tuple[tuple[int, ...], ...]:
+    """A codebook's leaf paths as a tuple of tuples, in row order, from its table and lengths."""
+    return tuple(tuple(row[:n].tolist()) for row, n in zip(book.table, book.lengths))
 
 
 def tuple_validate_complete(leaves, alphabet_size: int, *, max_len: int | None = DEFAULT_MAX_LEN):
@@ -118,6 +130,53 @@ def heap_quantize(q, m_units: int):
         counts[a] += 1
         if counts[a] < cap[a]:
             heapq.heappush(heap, (marginal(a, int(counts[a])), a))
+    return TypedPmf(m, counts)
+
+
+@lru_cache(maxsize=32)
+def _compositions(m: int, parts: int) -> np.ndarray:
+    """All compositions of m into `parts` nonnegative parts, ascending lex order."""
+    if parts == 1:
+        return np.array([[m]], dtype=np.int64)
+    n_rows = math.comb(m + parts - 1, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m + parts - 1), parts - 1)),
+        dtype=np.int64,
+        count=n_rows * (parts - 1),
+    ).reshape(n_rows, parts - 1)
+    out = np.empty((n_rows, parts), dtype=np.int64)
+    out[:, 0] = bars[:, 0]
+    out[:, 1:-1] = bars[:, 1:] - bars[:, :-1] - 1
+    out[:, -1] = m + parts - 2 - bars[:, -1]
+    return out
+
+
+def brute_force_quantize(q, m_units: int) -> TypedPmf:
+    """Exhaustive minimizer of D(c/M || q) over all compositions of M.
+
+    On exact divergence ties the count vector that loads the smallest
+    symbol indices wins (matching the greedy tie-break).  Only feasible
+    for small supports; raises when the instance is too large.
+    """
+    m = int(m_units)
+    if m < 1:
+        raise ValueError("number of units must be a positive integer")
+    qv = checked_probs(as_prob_vector(q))
+    support = np.flatnonzero(qv > 0)
+    s = support.size
+    if s > _MAX_BRUTE_SUPPORT:
+        raise ValueError(f"instance too large: support {s} > {_MAX_BRUTE_SUPPORT}")
+    if math.comb(m + s - 1, s - 1) > _MAX_BRUTE_SIZE:
+        raise ValueError("instance too large: too many compositions to enumerate")
+    comps = _compositions(m, s)
+    probs = comps / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(comps > 0, probs * np.log2(probs / qv[support]), 0.0)
+    kl = terms.sum(axis=1)
+    winners = np.flatnonzero(kl == kl.min())
+    best = comps[winners[-1]]
+    counts = np.zeros(qv.size, dtype=np.int64)
+    counts[support] = best
     return TypedPmf(m, counts)
 
 

@@ -3,12 +3,11 @@ import pytest
 
 from rescode import (
     Pmf,
-    brute_force_quantize,
     build_block_code,
     kl_divergence,
     rate_report,
 )
-from references import induced_counts
+from references import brute_force_quantize, induced_counts
 
 
 class TestBuildBlockCode:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import rescode
 from rescode import (Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, f2v, generate_stream,
                      rate_report, tunstall)
-from references import digit_lines, interval_map, served_bits
+from references import digit_lines, interval_map, paths, served_bits
 
 
 def run(capsys, argv):
@@ -259,7 +259,8 @@ class TestGenerate:
         idx = interval_map(built, us)
         marked = built.guide[us >> (24 - f2v.GUIDE_BITS)] == built.num_codewords - 1
         assert np.count_nonzero(marked & (idx != built.num_codewords - 1)) > 10  # words of split buckets
-        assert got.tolist() == [s for i in idx.tolist() for s in built.codebook.leaves[i]]
+        leaves = paths(built.codebook)
+        assert got.tolist() == [s for i in idx.tolist() for s in leaves[i]]
 
     def test_packed_peak_memory_is_bounded(self, capsys, tmp_path):
         # the benchmark's stream_packed code; holding the whole stream would
@@ -343,6 +344,8 @@ def exit_code(argv):
 
 class TestUsageErrors:
     GEN = ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4"]
+    HUGE = ["--p", "0.211,0.789", "--m", "12", "--size", "3072", "--seed", "1", "--symbols", str(10**400)]
+    VAL = ["validate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "5", "--seed", "1"]
 
     @pytest.mark.parametrize("argv", [
         ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--schemes", "f2v,x2y"],
@@ -357,8 +360,13 @@ class TestUsageErrors:
         ["generate", "--p", "0.8,0.2", "--m", "70", "--size", "3", "--symbols", "4", "--seed", "1"],
         GEN + ["--bits-file", "{missing}"],
         GEN + ["--seed", "1", "--out", "{missing}"],
+        ["generate", *HUGE],
+        ["validate", *HUGE],
+        VAL + ["--tv-threshold", "nan"],
+        VAL + ["--tv-threshold", "-1"],
     ], ids=["unknown-scheme", "no-sizes", "b2b-extra-size-only", "unreachable-size", "no-symbols", "no-seed", "text-above-ten",
-            "bad-q", "m-70", "missing-bits-file", "unwritable-out"])
+            "bad-q", "m-70", "missing-bits-file", "unwritable-out", "symbols-beyond-float", "validate-symbols-beyond-float",
+            "tv-threshold-nan", "tv-threshold-negative"])
     def test_one_error_line_and_exit_2(self, capsys, tmp_path, argv):
         missing = str(tmp_path / "no-such-dir" / "x")
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rescode import (
     ArrayBitSource,
-    BitSourceExhausted,
     FileBitSource,
     Pmf,
     RandomBitSource,
@@ -21,12 +20,13 @@ from rescode import (
     generate_stream,
     stream,
 )
-from references import EXHAUSTIVE_BITS, column_words, induced_counts, interval_map, served_bits
+from references import EXHAUSTIVE_BITS, column_words, induced_counts, interval_map, paths, served_bits
 
 
 def codeword(code, u):
     """Word u's codeword path, by the interval map oracle."""
-    return code.codebook.leaves[interval_map(code, [u])[0]]
+    i, book = interval_map(code, [u])[0], code.codebook
+    return tuple(book.table[i, : book.lengths[i]].tolist())
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def running_code():
 class TestBuildCode:
     def test_running_example(self, running_code):
         code = running_code
-        assert code.codebook.leaves == ((0, 0), (0, 1), (1,))
+        assert paths(code.codebook) == ((0, 0), (0, 1), (1,))
         assert list(code.counts.counts) == [5, 1, 2]
         assert list(code.cum) == [0, 5, 6, 8]
         assert code.scheme == "f2v"
@@ -118,7 +118,7 @@ class TestInvariants:
     def test_deterministic_json(self):
         p = Pmf([0.211, 0.789])
         a, b = build_code(p, 48, 9), build_code(p, 48, 9)
-        assert a.codebook.leaves == b.codebook.leaves
+        assert paths(a.codebook) == paths(b.codebook)
         assert np.array_equal(a.target.leaf_probs, b.target.leaf_probs)
         assert np.array_equal(a.counts.counts, b.counts.counts)
 
@@ -145,10 +145,9 @@ class TestGenerateStream:
         assert list(res.leaf_counts) == [1, 1, 0]
 
     def test_exhaustion_reports_partial(self, running_code):
-        with pytest.raises(BitSourceExhausted) as exc:
-            generate_stream(running_code, ArrayBitSource("000101"), 3)
-        assert list(exc.value.result.symbols) == [0, 0, 0, 1]
-        assert exc.value.result.input_bits == 6
+        res = generate_stream(running_code, ArrayBitSource("000101"), 3)
+        assert list(res.symbols) == [0, 0, 0, 1]
+        assert res.input_bits == 6
 
     def test_seeded_determinism(self, running_code):
         a = generate_stream(running_code, RandomBitSource(1), 100)
@@ -264,7 +263,7 @@ def stream_instances(draw):
 def check_against_per_word_oracle(code, bits, chunks):
     """One-shot and chunked generate_stream calls against the interval map, word by word."""
     m, words = code.m, sum(chunks)
-    index = {leaf: i for i, leaf in enumerate(code.codebook.leaves)}
+    index = {leaf: i for i, leaf in enumerate(paths(code.codebook))}
     leaves = [codeword(code, int("".join(map(str, bits[j * m : (j + 1) * m])), 2)) for j in range(words)]
     expected = [s for leaf in leaves for s in leaf]
     expected_counts = np.bincount([index[leaf] for leaf in leaves], minlength=code.num_codewords)
@@ -386,12 +385,24 @@ class TestStreamProperties:
             k = min(int((min_symbols - total) / code.exp_len) + 1, len(leaves) - words)
             total += sum(len(leaf) for leaf in leaves[words : words + k])
             words += k
-        index = {leaf: i for i, leaf in enumerate(code.codebook.leaves)}
+        index = {leaf: i for i, leaf in enumerate(paths(code.codebook))}
         expected_counts = np.bincount([index[leaf] for leaf in leaves[:words]], minlength=code.num_codewords)
 
-        with mock.patch.object(f2v, "STREAM_CHUNK_WORDS", chunk_words):
-            chunks = list(stream(code, ArrayBitSource(bits), min_symbols))
+        def chunked(source_bits):
+            """The stream in calls of at most chunk_words words; no chunk may follow a short one."""
+            with (mock.patch.object(f2v, "STREAM_CHUNK_WORDS", chunk_words),
+                  mock.patch.object(f2v, "generate_stream", wraps=f2v.generate_stream) as spy):
+                parts = list(stream(code, ArrayBitSource(source_bits), min_symbols))
+            asked = [call.args[2] for call in spy.call_args_list]
+            assert len(asked) == len(parts)
+            assert all(r.input_bits == k * m for r, k in zip(parts[:-1], asked[:-1]))
+            return parts
+
+        chunks = chunked(bits)
         whole = list(stream(code, ArrayBitSource(bits), min_symbols))
+        # bits that end where the last chunk began: that chunk comes back empty, and is the last
+        ended = chunked(bits[: sum(r.input_bits for r in chunks[:-1])])
+        assert [r.input_bits for r in ended] == [r.input_bits for r in chunks[:-1]] + [0]
         assert all(r.input_bits <= chunk_words * m for r in chunks)
         assert list(stream(code, ArrayBitSource(bits), 0)) == []
         assert np.concatenate([r.symbols for r in chunks]).tolist() == [s for leaf in leaves[:words] for s in leaf]

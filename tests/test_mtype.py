@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rescode import (
     Pmf,
     TypedPmf,
-    brute_force_quantize,
     build_tunstall,
     kl_divergence,
     leaf_distribution,
@@ -17,7 +16,7 @@ from rescode import (
     product_codebook,
     quantize,
 )
-from references import heap_quantize
+from references import brute_force_quantize, heap_quantize
 
 
 def random_target(rng, max_support=5):

@@ -17,7 +17,7 @@ from rescode import (
     tunstall,
     validate_complete,
 )
-from references import heap_tunstall
+from references import heap_tunstall, paths
 
 
 def full_support_pmf(rng, d, floor=0.05):
@@ -35,17 +35,17 @@ def random_valid_size(rng, d, upper=4096):
 class TestBuild:
     def test_three_leaves(self):
         ld = build_tunstall(Pmf([0.8, 0.2]), 3)
-        assert ld.codebook.leaves == ((0, 0), (0, 1), (1,))
+        assert paths(ld.codebook) == ((0, 0), (0, 1), (1,))
         assert ld.leaf_probs == pytest.approx([0.64, 0.16, 0.2], abs=1e-15)
 
     def test_four_leaves_splits_00(self):
         ld = build_tunstall(Pmf([0.8, 0.2]), 4)
-        assert ld.codebook.leaves == ((0, 0, 0), (0, 0, 1), (0, 1), (1,))
+        assert paths(ld.codebook) == ((0, 0, 0), (0, 0, 1), (0, 1), (1,))
         assert ld.leaf_probs == pytest.approx([0.512, 0.128, 0.16, 0.2], abs=1e-15)
 
     def test_uniform_ties_split_lexicographically(self):
         ld = build_tunstall(Pmf([0.5, 0.5]), 4)
-        assert ld.codebook.leaves == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert paths(ld.codebook) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ class TestBuild:
         p = Pmf([0.211, 0.789])
         a = build_tunstall(p, 101)
         b = build_tunstall(p, 101)
-        assert a.codebook.leaves == b.codebook.leaves
+        assert paths(a.codebook) == paths(b.codebook)
         assert np.array_equal(a.leaf_probs, b.leaf_probs)
 
     def test_agrees_with_recomputed_leaf_distribution(self):
@@ -94,7 +94,7 @@ class TestBuild:
         # probability, so no internal node is lighter than any leaf
         p = Pmf([0.211, 0.789])
         ld = build_tunstall(p, 4096)
-        leaf_set = set(ld.codebook.leaves)
+        leaf_set = set(paths(ld.codebook))
         internal = {x[:k] for x in leaf_set for k in range(1, len(x))} - leaf_set
         pv = p.probs
 
@@ -158,9 +158,9 @@ class TestProperties:
         p, n = instance
         ld = build_tunstall(p, n)
         assert len(ld.codebook) == n
-        assert validate_complete(ld.codebook.leaves, p.alphabet_size, max_len=None).leaves == ld.codebook.leaves
+        assert paths(validate_complete(paths(ld.codebook), p.alphabet_size, max_len=None)) == paths(ld.codebook)
         logs = np.log2(p.probs)
-        for x, prob in zip(ld.codebook.leaves, ld.leaf_probs):
+        for x, prob in zip(paths(ld.codebook), ld.leaf_probs):
             ref = 2.0 ** math.fsum(logs[s] for s in x)
             assert abs(prob - ref) <= 1e-12 * ref, x
         assert check_balance(ld, p.mu()).ok
@@ -188,7 +188,7 @@ class TestHeapOracle:
         p, n = instance
         ld = build_tunstall(p, n)
         leaves, probs = heap_tunstall(p.probs, n)
-        assert ld.codebook.leaves == leaves
+        assert paths(ld.codebook) == leaves
         assert np.array_equal(ld.leaf_probs, probs)
 
     @pytest.mark.parametrize(
@@ -200,7 +200,7 @@ class TestHeapOracle:
         p = Pmf(list(probs))
         ld = build_tunstall(p, n)
         leaves, leaf_probs = heap_tunstall(p.probs, n)
-        assert ld.codebook.leaves == leaves
+        assert paths(ld.codebook) == leaves
         assert np.array_equal(ld.leaf_probs, leaf_probs)
 
     @pytest.mark.parametrize(
@@ -219,7 +219,7 @@ class TestHeapOracle:
             ld = build_tunstall(p, n)
         assert len(cutoffs) == 2 and cutoffs[1] == 0.0
         leaves, leaf_probs = heap_tunstall(p.probs, n)
-        assert ld.codebook.leaves == leaves
+        assert paths(ld.codebook) == leaves
         assert np.array_equal(ld.leaf_probs, leaf_probs)
 
     def test_skewed_build_stays_near_its_table_size(self):
