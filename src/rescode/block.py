@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import mtype
 from .codetree import leaf_distribution, product_codebook
-from .f2v import MAX_INPUT_BITS, ResolutionCode, _assemble
+from .f2v import MAX_INPUT_BITS, ResolutionCode
 from .probdist import Pmf
 
 
@@ -26,4 +26,4 @@ def build_block_code(p: Pmf, n: int, m: int) -> ResolutionCode:
     codebook = product_codebook(p.alphabet_size, n)
     target = leaf_distribution(p, codebook)
     counts = mtype.quantize(target.leaf_probs, 1 << m)
-    return _assemble("b2b", target, m, counts)
+    return ResolutionCode(scheme="b2b", m=m, target=target, counts=counts)

@@ -8,7 +8,6 @@ on top of a codebook refers to that order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -16,9 +15,6 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .probdist import Pmf, _frozen
-
-#: default bound on path length for user-supplied leaf sets
-DEFAULT_MAX_LEN = 64
 
 #: cap on the number of leaves a product codebook may have
 MAX_PRODUCT_LEAVES = 1 << 20
@@ -48,11 +44,13 @@ class IncompleteCodebookError(CodebookError):
 class Codebook:
     """A complete prefix-free codebook over D symbols, its leaves sorted.
 
-    ``table`` holds leaf i's symbols in row i of a ``[N, max_len]`` matrix
-    in the smallest unsigned dtype that holds D - 1, zero past the leaf's
-    length ``lengths[i]`` (int64).  ``mask``, the ``[N, max_len]`` cells of
-    ``table`` that hold a symbol, is built on first use; all are read-only.
-    ``leaves`` rebuilds the paths as tuples for the benchmark's oracle.
+    Constructing one checks nothing; ``validate_complete`` checks one as
+    it stands.  ``table`` holds leaf i's symbols in row i of a
+    ``[N, max_len]`` matrix in the smallest unsigned dtype that holds
+    D - 1, zero past the leaf's length ``lengths[i]`` (int64).  ``mask``,
+    the ``[N, max_len]`` cells of ``table`` that hold a symbol, is built on
+    first use; all are read-only.  ``leaves`` rebuilds the paths as tuples
+    for the benchmark's oracle.
     """
 
     alphabet_size: int
@@ -90,35 +88,26 @@ class LeafDistribution:
         return float((self.leaf_probs * self.codebook.lengths).sum())
 
 
-def validate_complete(leaves, alphabet_size: int, *, max_len: int | None = DEFAULT_MAX_LEN) -> Codebook:
-    """Check a leaf set and return the canonical (sorted) Codebook.
+def validate_complete(book: Codebook) -> Codebook:
+    """Check a Codebook as it stands, rows in the given order, and return it.
 
-    ``leaves`` is a Codebook, checked with its rows in the given order, or
-    any iterable of paths, sorted first.  Raises DuplicateLeafError,
-    PrefixViolationError, or IncompleteCodebookError (with the exact
-    rational deficit) when the set is not a complete prefix-free codebook,
-    and CodebookError for a Codebook whose rows are out of order.
+    Raises ValueError for an alphabet under 2 symbols, no leaves, an empty
+    leaf, a table that is not N rows by the longest leaf's length, or a
+    cell outside [0, D); DuplicateLeafError, PrefixViolationError, or
+    IncompleteCodebookError (with the exact rational deficit) when the
+    leaves are not a complete prefix-free codebook; and CodebookError when
+    the rows are out of order.
     """
-    d = int(alphabet_size)
+    d, table, lengths = int(book.alphabet_size), book.table, book.lengths
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
-    book = leaves
-    if not isinstance(book, Codebook):
-        paths = sorted(tuple(int(s) for s in leaf) for leaf in leaves)
-        if any(s < 0 or s >= d for x in paths for s in x):
-            raise ValueError(f"leaves contain symbols outside [0, {d})")
-        lengths = np.array([len(x) for x in paths], dtype=np.int64)
-        table = np.zeros((len(paths), max(lengths, default=0)), dtype=np.min_scalar_type(d - 1))
-        table[np.arange(table.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(paths))
-        book = Codebook(alphabet_size=d, table=_frozen(table), lengths=_frozen(lengths))
-    table, lengths = book.table, book.lengths
     if not lengths.size:
         raise ValueError("leaf set must be nonempty")
     if lengths.min() < 1:
         raise ValueError("leaf paths must have length at least 1")
-    if max_len is not None and lengths.max() > max_len:
-        raise ValueError(f"leaf path longer than max_len={max_len}")
-    if book.alphabet_size != d or table.max() >= d:
+    if table.shape != (lengths.size, book.max_len()):
+        raise ValueError(f"table shape {table.shape} is not (N, max leaf length) = ({lengths.size}, {book.max_len()})")
+    if table.min() < 0 or table.max() >= d:
         raise ValueError(f"leaves contain symbols outside [0, {d})")
     # Each leaf must sort strictly before the next and not be its prefix: the
     # first differing cell lies within both leaves and grows.  In sorted order

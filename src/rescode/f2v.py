@@ -37,11 +37,11 @@ GUIDE_BITS = 20
 
 @dataclass(frozen=True, eq=False)
 class ResolutionCode:
-    """A built resolution code.
+    """A built resolution code: a target leaf distribution and its 2^m-type codeword counts.
 
-    ``counts`` is the 2^m-type codeword distribution; ``cum`` holds the
-    cumulative count offsets, so input integers [cum[i], cum[i+1]) map to
-    codeword i.  ``q_bits = m - log2(N)`` is the excess input length that
+    ``cum``, built on first use, holds the cumulative count offsets, so
+    input integers [cum[i], cum[i+1]) map to codeword i.  ``n_bits`` is
+    log2(N), and ``q_bits = m - log2(N)`` is the excess input length that
     drives the divergence to zero.
     """
 
@@ -49,9 +49,18 @@ class ResolutionCode:
     m: int
     target: LeafDistribution
     counts: TypedPmf
-    cum: np.ndarray
-    n_bits: float
-    q_bits: float
+
+    @property
+    def n_bits(self) -> float:
+        return math.log2(self.num_codewords)
+
+    @property
+    def q_bits(self) -> float:
+        return self.m - math.log2(self.num_codewords)
+
+    @cached_property
+    def cum(self) -> np.ndarray:
+        return _frozen(np.concatenate(([0], np.cumsum(self.counts.counts, dtype=np.int64))))
 
     @property
     def codebook(self) -> Codebook:
@@ -76,20 +85,6 @@ class ResolutionCode:
         return _frozen(first)
 
 
-def _assemble(scheme: str, target: LeafDistribution, m: int, counts: TypedPmf) -> ResolutionCode:
-    cum = np.concatenate(([0], np.cumsum(counts.counts, dtype=np.int64)))
-    n = len(target.codebook)
-    return ResolutionCode(
-        scheme=scheme,
-        m=m,
-        target=target,
-        counts=counts,
-        cum=_frozen(cum),
-        n_bits=math.log2(n),
-        q_bits=m - math.log2(n),
-    )
-
-
 def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
     """Tunstall codebook of the requested size plus 2^m-type codeword counts."""
     m = int(m)
@@ -97,7 +92,7 @@ def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
         raise ValueError(f"input length must be in [1, {MAX_INPUT_BITS}] bits")
     target = tunstall.build_tunstall(p, num_codewords)
     counts = mtype.quantize(target.leaf_probs, 1 << m)
-    return _assemble("f2v", target, m, counts)
+    return ResolutionCode(scheme="f2v", m=m, target=target, counts=counts)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,15 +8,10 @@ by the factor 1/mu, where mu is the smallest branch probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codetree import Codebook, LeafDistribution, validate_complete
 from .probdist import Pmf, _frozen
-
-# Relative slack for the balance checks, absorbing double-precision drift.
-_BALANCE_SLACK = 1e-9
 
 # Largest codebook build_tunstall accepts, checked before anything is built.
 MAX_LEAVES = 1 << 24
@@ -43,9 +38,13 @@ def round_size_down(alphabet_size: int, num_codewords: int) -> int:
 def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
     """Grow the Tunstall codebook with exactly `num_codewords` leaves.
 
-    Ties on leaf probability break toward the lexicographically smallest
-    path, so the construction is deterministic.  Sizes must satisfy
-    N = D + k(D-1); others are rejected.
+    Nodes are split in decreasing order of their float64 probability, the
+    product of their branch probabilities taken left to right along the
+    path, and among equal floats in increasing path order, so the
+    construction is deterministic.  Paths with the same count of each
+    symbol have the same exact probability, but their products can round
+    a few ulps apart; that rounding, not the path, then decides which is
+    split first.  Sizes must satisfy N = D + k(D-1); others are rejected.
     """
     d = p.alphabet_size
     n = int(num_codewords)
@@ -87,7 +86,7 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
         table[deeper, j] = np.repeat(symbols[j], count[j])
         rows = position[j][here]
         deeper[rows], lengths[rows], leaf_probs[rows] = False, j + 1, probs[j][here]
-    codebook = validate_complete(Codebook(d, _frozen(table), _frozen(lengths)), d, max_len=None)
+    codebook = validate_complete(Codebook(d, _frozen(table), _frozen(lengths)))
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(leaf_probs))
 
 
@@ -127,32 +126,3 @@ def _preceding(parents: list, weights: list) -> tuple[list, list]:
         # offset[i] plus the level's running sum before a child of node i is where that child starts
         offset = before[-1] + total - np.cumsum(total - weight)
     return before, totals
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    """Outcome of the Tunstall balance checks on a built codebook."""
-
-    ratio: float
-    min_prob: float
-    max_prob: float
-    ok: bool
-
-
-def check_balance(ld: LeafDistribution, mu: float) -> BalanceReport:
-    """Verify the Tunstall balance bounds on a built leaf distribution.
-
-    ok means: max/min <= 1/mu, min >= mu/N, and max <= 1/(N*mu), each with
-    a small relative slack.  A failure indicates a construction bug.
-    """
-    n = len(ld.codebook)
-    min_prob = float(ld.leaf_probs.min())
-    max_prob = float(ld.leaf_probs.max())
-    ratio = max_prob / min_prob
-    slack = 1.0 + _BALANCE_SLACK
-    ok = (
-        ratio <= slack / mu
-        and min_prob >= (mu / n) / slack
-        and max_prob <= slack / (n * mu)
-    )
-    return BalanceReport(ratio=ratio, min_prob=min_prob, max_prob=max_prob, ok=ok)

@@ -1,12 +1,14 @@
-"""Slow reference implementations that the fast library code is checked against.
+"""Slow reference implementations and re-proofs that the library code is checked against.
 
 None is used by the library: the Tunstall build and the completeness
 check both work on flat arrays there, min_type_order takes one gcd,
 quantize keeps one heap entry per symbol and replaces it in place (and
 brute_force_quantize enumerates every composition instead), codebooks are
-read through their table and lengths (paths turns them back into tuples),
-the CLI writes text output as one byte array per chunk, and the stream
-cuts its words from packed bytes and maps them through its guide table.
+read through their table and lengths (paths turns them back into tuples,
+flat_codebook turns leaf paths into one), the CLI writes text output as
+one byte array per chunk, and the stream cuts its words from packed bytes
+and maps them through its guide table.  check_balance re-proves the
+Tunstall balance that build_tunstall guarantees by construction.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from rescode import DuplicateLeafError, IncompleteCodebookError, PrefixViolationError, TypedPmf
-from rescode.codetree import DEFAULT_MAX_LEN
+from rescode import Codebook, DuplicateLeafError, IncompleteCodebookError, PrefixViolationError, TypedPmf
 from rescode.probdist import as_prob_vector, checked_probs
 
 # The widest input length whose 2^m words the tests enumerate one by one.
@@ -29,6 +31,9 @@ EXHAUSTIVE_BITS = 16
 # The largest support and number of compositions brute_force_quantize enumerates.
 _MAX_BRUTE_SUPPORT = 8
 _MAX_BRUTE_SIZE = 10**7
+
+# Relative slack for the balance checks, absorbing double-precision drift.
+_BALANCE_SLACK = 1e-9
 
 
 def heap_tunstall(pv, n: int):
@@ -53,7 +58,17 @@ def paths(book) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[:n].tolist()) for row, n in zip(book.table, book.lengths))
 
 
-def tuple_validate_complete(leaves, alphabet_size: int, *, max_len: int | None = DEFAULT_MAX_LEN):
+def flat_codebook(leaves, d: int) -> Codebook:
+    """A Codebook holding the leaf paths in sorted order, unchecked."""
+    leaves = sorted(tuple(x) for x in leaves)
+    lengths = np.array([len(x) for x in leaves], dtype=np.int64)
+    table = np.zeros((len(leaves), max(lengths, default=0)), dtype=np.min_scalar_type(d - 1))
+    for row, x in zip(table, leaves):
+        row[: len(x)] = x
+    return Codebook(alphabet_size=d, table=table, lengths=lengths)
+
+
+def tuple_validate_complete(leaves, alphabet_size: int):
     """The sorted leaf tuples of a complete prefix-free codebook, or the error that says why not."""
     d = int(alphabet_size)
     if d < 2:
@@ -64,8 +79,6 @@ def tuple_validate_complete(leaves, alphabet_size: int, *, max_len: int | None =
     for x in paths:
         if len(x) < 1:
             raise ValueError("leaf paths must have length at least 1")
-        if max_len is not None and len(x) > max_len:
-            raise ValueError(f"leaf path longer than max_len={max_len}")
         if any(s < 0 or s >= d for s in x):
             raise ValueError(f"path {x} contains symbols outside [0, {d})")
     paths.sort()
@@ -79,6 +92,35 @@ def tuple_validate_complete(leaves, alphabet_size: int, *, max_len: int | None =
     if kraft != d**lmax:
         raise IncompleteCodebookError(Fraction(d**lmax - kraft, d**lmax))
     return tuple(paths)
+
+
+@dataclass(frozen=True)
+class BalanceReport:
+    """Outcome of the Tunstall balance checks on a built codebook."""
+
+    ratio: float
+    min_prob: float
+    max_prob: float
+    ok: bool
+
+
+def check_balance(ld, mu: float) -> BalanceReport:
+    """Verify the Tunstall balance bounds on a built leaf distribution.
+
+    ok means: max/min <= 1/mu, min >= mu/N, and max <= 1/(N*mu), each with
+    a small relative slack.  A failure indicates a construction bug.
+    """
+    n = len(ld.codebook)
+    min_prob = float(ld.leaf_probs.min())
+    max_prob = float(ld.leaf_probs.max())
+    ratio = max_prob / min_prob
+    slack = 1.0 + _BALANCE_SLACK
+    ok = (
+        ratio <= slack / mu
+        and min_prob >= (mu / n) / slack
+        and max_prob <= slack / (n * mu)
+    )
+    return BalanceReport(ratio=ratio, min_prob=min_prob, max_prob=max_prob, ok=ok)
 
 
 def loop_leaf_probs(pv, leaves) -> np.ndarray:

@@ -22,7 +22,6 @@ from rescode import (
     build_block_code,
     build_code,
     build_tunstall,
-    check_balance,
     convergence_probe,
     entropy,
     kl_divergence,
@@ -32,7 +31,7 @@ from rescode import (
     stream,
     variational_distance,
 )
-from references import EXHAUSTIVE_BITS, brute_force_quantize, induced_counts
+from references import EXHAUSTIVE_BITS, brute_force_quantize, check_balance, induced_counts
 
 TARGET = Pmf([0.211, 0.789])
 GRID = {6: (3, 4, 5, 6), 9: (5, 6, 7, 8, 9), 12: (8, 9, 10, 11, 12)}

@@ -18,46 +18,48 @@ from rescode import (
     product_codebook,
     validate_complete,
 )
-from references import loop_leaf_probs, paths, tuple_validate_complete
+from references import flat_codebook, loop_leaf_probs, paths, tuple_validate_complete
 
 
 class TestValidateComplete:
     def test_valid_binary(self):
-        cb = validate_complete([(0, 0), (0, 1), (1,)], 2)
+        cb = validate_complete(flat_codebook([(0, 0), (0, 1), (1,)], 2))
         assert paths(cb) == ((0, 0), (0, 1), (1,))
         assert cb.leaves == paths(cb)  # the benchmark's oracle reads leaves
         assert len(cb) == 3
 
-    def test_sorts_canonically(self):
-        cb = validate_complete([(1,), (0, 1), (0, 0)], 2)
-        assert paths(cb) == ((0, 0), (0, 1), (1,))
-
     def test_prefix_violation(self):
         with pytest.raises(PrefixViolationError):
-            validate_complete([(0,), (0, 1)], 2)
+            validate_complete(flat_codebook([(0,), (0, 1)], 2))
 
     def test_incomplete_reports_exact_deficit(self):
         with pytest.raises(IncompleteCodebookError) as exc:
-            validate_complete([(0,)], 2)
+            validate_complete(flat_codebook([(0,)], 2))
         assert exc.value.deficit == Fraction(1, 2)
 
     def test_duplicate(self):
         with pytest.raises(DuplicateLeafError):
-            validate_complete([(0,), (0,), (1,)], 2)
+            validate_complete(flat_codebook([(0,), (0,), (1,)], 2))
 
     def test_symbol_out_of_range(self):
         with pytest.raises(ValueError):
-            validate_complete([(0,), (2,)], 2)
+            validate_complete(flat_codebook([(0,), (2,)], 2))
 
-    def test_max_len_cap(self):
-        deep = [(0,) * 65, *[(0,) * k + (1,) for k in range(65)]]
-        with pytest.raises(ValueError):
-            validate_complete(deep, 2)
-        cb = validate_complete(deep, 2, max_len=None)
-        assert cb.max_len() == 65
+    def test_negative_symbol(self):
+        # pv[-1] would wrap: leaf_distribution(Pmf([0.3, 0.7]), book) reads [0.7, 0.7]
+        book = Codebook(alphabet_size=2, table=np.array([[-1], [1]]), lengths=np.array([1, 1]))
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            validate_complete(book)
+
+    def test_table_wider_than_longest_leaf(self):
+        # the stream's mask has max_len() columns and would not fit the table
+        table = np.array([[0, 0], [1, 0]], dtype=np.uint8)
+        book = Codebook(alphabet_size=2, table=table, lengths=np.array([1, 1]))
+        with pytest.raises(ValueError, match="table shape"):
+            validate_complete(book)
 
     def test_ternary(self):
-        cb = validate_complete([(0,), (1,), (2, 0), (2, 1), (2, 2)], 3)
+        cb = validate_complete(flat_codebook([(0,), (1,), (2, 0), (2, 1), (2, 2)], 3))
         assert len(cb) == 5
 
 
@@ -71,7 +73,7 @@ class TestValidateSkewedCodebook:
     def test_peak_memory_well_under_the_table(self, skewed_book):
         tracemalloc.start()
         try:
-            validate_complete(skewed_book, 2, max_len=None)
+            validate_complete(skewed_book)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -81,17 +83,8 @@ class TestValidateSkewedCodebook:
         table, lengths = skewed_book.table.copy(), skewed_book.lengths.copy()
         table[3001], lengths[3001] = table[3000], lengths[3000]
         with pytest.raises(DuplicateLeafError) as exc:
-            validate_complete(Codebook(alphabet_size=2, table=table, lengths=lengths), 2, max_len=None)
+            validate_complete(Codebook(alphabet_size=2, table=table, lengths=lengths))
         assert str(exc.value) == f"duplicate leaf {tuple(table[3000, : lengths[3000]].tolist())}"
-
-
-def flat_codebook(leaves, d):
-    """A Codebook holding the leaves as given, unchecked."""
-    lengths = np.array([len(x) for x in leaves], dtype=np.int64)
-    table = np.zeros((len(leaves), max(lengths)), dtype=np.min_scalar_type(d - 1))
-    for row, x in zip(table, leaves):
-        row[: len(x)] = x
-    return Codebook(alphabet_size=d, table=table, lengths=lengths)
 
 
 @st.composite
@@ -134,26 +127,23 @@ class TestAgainstTupleReference:
     def test_same_verdict_as_tuple_check(self, instance):
         d, leaves = instance
         ref, ref_error = outcome(tuple_validate_complete, leaves, d)
-        inputs = [leaves]
-        if leaves:
-            inputs.append(flat_codebook(sorted(leaves), d))
-        for given_leaves in inputs:
-            book, error = outcome(validate_complete, given_leaves, d)
-            assert type(error) is type(ref_error), (given_leaves, error, ref_error)
-            if isinstance(ref_error, IncompleteCodebookError):
-                assert error.deficit == ref_error.deficit
-            if ref_error is None:
-                assert paths(book) == ref
+        book, error = outcome(validate_complete, flat_codebook(leaves, d))
+        assert type(error) is type(ref_error), (leaves, error, ref_error)
+        if isinstance(ref_error, IncompleteCodebookError):
+            assert error.deficit == ref_error.deficit
+        if ref_error is None:
+            assert paths(book) == ref
 
     def test_codebook_rows_out_of_order(self):
+        book = Codebook(alphabet_size=2, table=np.array([[1], [0]], dtype=np.uint8), lengths=np.array([1, 1]))
         with pytest.raises(CodebookError, match="sorts after"):
-            validate_complete(flat_codebook([(1,), (0,)], 2), 2)
+            validate_complete(book)
 
 
 class TestLeafDistribution:
     def test_hand_products(self):
         p = Pmf([0.8, 0.2])
-        ld = leaf_distribution(p, validate_complete([(0, 0), (0, 1), (1,)], 2))
+        ld = leaf_distribution(p, validate_complete(flat_codebook([(0, 0), (0, 1), (1,)], 2)))
         assert ld.leaf_probs == pytest.approx([0.64, 0.16, 0.2], abs=1e-15)
         assert ld.expected_len == pytest.approx(1.8, abs=1e-12)
 
@@ -163,7 +153,7 @@ class TestLeafDistribution:
         assert ld.expected_len == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_codebook(self):
-        ld = leaf_distribution(Pmf([0.211, 0.789]), validate_complete([(0,), (1,)], 2))
+        ld = leaf_distribution(Pmf([0.211, 0.789]), validate_complete(flat_codebook([(0,), (1,)], 2)))
         assert ld.leaf_probs == pytest.approx([0.211, 0.789], abs=1e-15)
         assert ld.expected_len == pytest.approx(1.0, abs=1e-12)
 
@@ -197,7 +187,7 @@ class TestLeafDistribution:
                 i = int(rng.integers(0, len(leaves)))
                 path = leaves.pop(i)
                 leaves.extend(path + (a,) for a in range(d))
-            cb = validate_complete(leaves, d)
+            cb = validate_complete(flat_codebook(leaves, d))
             probs = rng.dirichlet(np.ones(d)) * 0.9 + 0.1 / d
             ld = leaf_distribution(Pmf(probs / probs.sum()), cb)
             assert ld.leaf_probs.sum() == pytest.approx(1.0, abs=1e-9)

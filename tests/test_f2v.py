@@ -12,6 +12,7 @@ from rescode import (
     FileBitSource,
     Pmf,
     RandomBitSource,
+    ResolutionCode,
     TypedPmf,
     build_code,
     build_tunstall,
@@ -126,14 +127,14 @@ class TestInvariants:
 def hand_made_code(n, m, seed):
     """Tunstall leaves with random counts summing to 2^m, every fifth one zero.
 
-    Assembled directly, because quantize is linear in 2^m.
+    Constructed directly, because quantize is linear in 2^m.
     """
     p = Pmf([0.211, 0.789])
     rng = np.random.default_rng(seed)
     weights = rng.random(n)
     weights[::5] = 0
     counts = rng.multinomial(1 << m, weights / weights.sum())
-    return f2v._assemble("f2v", build_tunstall(p, n), m, TypedPmf(1 << m, counts))
+    return ResolutionCode(scheme="f2v", m=m, target=build_tunstall(p, n), counts=TypedPmf(1 << m, counts))
 
 
 class TestGenerateStream:
@@ -242,7 +243,7 @@ def stream_instances(draw):
     a bit string of whole words plus a partial one, and chunk sizes summing
     to the word count.
 
-    The codeword counts are a multinomial draw of the 2^m words, assembled
+    The codeword counts are a multinomial draw of the 2^m words, constructed
     directly as in hand_made_code: the stream map does not depend on how
     they were chosen, and build_code rejects some targets at m >= 57."""
     weights = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=4))
@@ -257,7 +258,7 @@ def stream_instances(draw):
     chunks = np.diff([0, *cuts, words]).tolist()
     target = build_tunstall(p, n)
     counts = rng.multinomial(1 << m, target.leaf_probs / target.leaf_probs.sum())
-    return f2v._assemble("f2v", target, m, TypedPmf(1 << m, counts)), bits, chunks
+    return ResolutionCode(scheme="f2v", m=m, target=target, counts=TypedPmf(1 << m, counts)), bits, chunks
 
 
 def check_against_per_word_oracle(code, bits, chunks):

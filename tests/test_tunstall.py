@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from rescode import (
     Pmf,
     build_tunstall,
-    check_balance,
     is_valid_size,
     leaf_distribution,
     round_size_down,
     tunstall,
-    validate_complete,
 )
-from references import heap_tunstall, paths
+from references import check_balance, heap_tunstall, loop_leaf_probs, paths, tuple_validate_complete
 
 
 def full_support_pmf(rng, d, floor=0.05):
@@ -108,6 +106,22 @@ class TestBuild:
         max_leaf = float(ld.leaf_probs.max())
         assert min_internal >= max_leaf * (1 - 1e-12)
 
+    def test_exact_ties_are_settled_by_float_products(self):
+        # Paths with the same count of each symbol tie exactly, but their left-to-right
+        # float products do not: the stream_packed code's 286 leaves with 4 zeros and
+        # 10 ones carry 7 values, and its cut class (2 zeros, 18 ones) is split by them.
+        p = Pmf([0.211, 0.789])
+        ld = build_tunstall(p, 3072)
+        leaves = paths(ld.codebook)
+        tied = ld.leaf_probs[[x.count(0) == 4 and len(x) == 14 for x in leaves]]
+        assert tied.size == 286 and np.unique(tied).size == 7
+        internal = {x[:k] for x in leaves for k in range(1, len(x))}
+        cut_internal = sorted(x for x in internal if x.count(0) == 2 and len(x) == 20)
+        cut_leaves = sorted(x for x in leaves if x.count(0) == 2 and len(x) == 20)
+        assert min(loop_leaf_probs(p.probs, cut_internal)) >= max(loop_leaf_probs(p.probs, cut_leaves))
+        assert cut_internal[-1] > cut_leaves[0]  # not in path order
+        assert leaves == heap_tunstall(p.probs, 3072)[0]
+
 
 class TestBalance:
     def test_hand_example(self):
@@ -158,7 +172,7 @@ class TestProperties:
         p, n = instance
         ld = build_tunstall(p, n)
         assert len(ld.codebook) == n
-        assert paths(validate_complete(paths(ld.codebook), p.alphabet_size, max_len=None)) == paths(ld.codebook)
+        assert tuple_validate_complete(paths(ld.codebook), p.alphabet_size) == paths(ld.codebook)
         logs = np.log2(p.probs)
         for x, prob in zip(paths(ld.codebook), ld.leaf_probs):
             ref = 2.0 ** math.fsum(logs[s] for s in x)
