@@ -38,11 +38,11 @@ print(f"  words 000 -> {first}, 101 -> {second}")
 print(f"  stream: {''.join(map(str, res.symbols))}  ({res.input_bits} bits in, {res.output_symbols} symbols out)")
 print()
 
-r = rate_report(code, p)
+r = rate_report(code)
 print(f"rate {r.rate:.4f} bits/symbol, entropy rate {r.entropy_rate:.4f}, "
       f"divergence {r.kl:.5f} bits")
 print("finite-length checks:")
-for check in bound_suite(code, p):
+for check in bound_suite(code):
     print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
 print()
 

@@ -25,8 +25,8 @@ print()
 print(f"{'m':>3} {'n':>3} | {'b2b rate':>9} {'b2b kl':>10} | {'f2v rate':>9} {'f2v kl':>10}")
 for m, ns in grid.items():
     for n in ns:
-        rb = rate_report(build_block_code(p, n, m), p)
-        rf = rate_report(build_code(p, 2**n, m), p)
+        rb = rate_report(build_block_code(p, n, m))
+        rf = rate_report(build_code(p, 2**n, m))
         print(
             f"{m:>3} {n:>3} | {rb.rate:>9.4f} {rb.kl:>10.6f} | {rf.rate:>9.4f} {rf.kl:>10.6f}"
         )
@@ -34,6 +34,6 @@ for m, ns in grid.items():
 
 # codebook sizes need not be powers of two
 c = build_code(p, 3072, 12)
-r = rate_report(c, p)
+r = rate_report(c)
 print(f"N=3072 (not a power of two), m=12: rate {r.rate:.4f}, divergence {r.kl:.6f} bits")
 print(f"excess bits q = {r.q_bits:.4f}; divergence bound {r.kl_bound:.4f} bits")

@@ -13,14 +13,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rescode import Pmf, convergence_probe, entropy, sqrt_gap_policy
+from rescode import Pmf, convergence_probe, entropy
 
 for probs in ([0.211, 0.789], [0.8, 0.2]):
     p = Pmf(probs)
     h = entropy(p)
     print(f"target {probs}, entropy {h:.4f} bits")
     print(f"{'m':>3} {'N':>7} {'q':>4} | {'kl bits':>11} {'rate':>8} {'|R-H|':>8}")
-    for r in convergence_probe(p, [8, 12, 16, 20], policy=sqrt_gap_policy):
+    for r in convergence_probe(p, [8, 12, 16, 20]):
         print(
             f"{r.m:>3} {r.num_codewords:>7} {r.q_bits:>4.0f} | "
             f"{r.kl:>11.3e} {r.rate:>8.4f} {abs(r.rate - h):>8.4f}"

@@ -44,7 +44,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _curve_point(scheme: str, m: int, size: int, p: Pmf) -> metrics.RateReport:
     build = block.build_block_code if scheme == "b2b" else f2v.build_code
-    return metrics.rate_report(build(p, size, m), p)
+    return metrics.rate_report(build(p, size, m))
 
 
 def _format_row(r: metrics.RateReport) -> str:
@@ -223,7 +223,7 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def _add_generation_flags(sub, with_format: bool) -> None:
+def _add_generation_flags(sub) -> None:
     sub.add_argument("--p", type=_parse_probs, required=True, help="target distribution, e.g. 0.211,0.789")
     sub.add_argument("--m", type=int, required=True, help="input length in bits")
     sub.add_argument("--size", type=int, required=True, help="codebook size N")
@@ -231,9 +231,6 @@ def _add_generation_flags(sub, with_format: bool) -> None:
     sub.add_argument("--seed", type=int, default=None, help="bit source seed (PCG64)")
     sub.add_argument("--bits-file", default=None, help="raw byte file served MSB-first instead of a seeded source")
     sub.add_argument("--round-size", action="store_true", help="round --size down to the nearest valid codebook size")
-    if with_format:
-        sub.add_argument("--format", choices=("text", "packed"), default="text")
-        sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,11 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     curve.set_defaults(func=cmd_curve)
 
     gen = subs.add_parser("generate", help="stream symbols from the code")
-    _add_generation_flags(gen, with_format=True)
+    _add_generation_flags(gen)
+    gen.add_argument("--format", choices=("text", "packed"), default="text")
+    gen.add_argument("--out", default=None, help="output path (default stdout)")
     gen.set_defaults(func=cmd_generate)
 
     val = subs.add_parser("validate", help="empirically check the generated distribution")
-    _add_generation_flags(val, with_format=False)
+    _add_generation_flags(val)
     val.add_argument("--tv-threshold", type=float, default=0.01)
     val.set_defaults(func=cmd_validate)
 

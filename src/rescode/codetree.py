@@ -74,14 +74,16 @@ class Codebook:
 
 @dataclass(frozen=True, eq=False)
 class LeafDistribution:
-    """A codebook with the leaf probabilities induced by a branching law.
+    """A codebook with the leaf probabilities induced by its branching law ``p``.
 
     ``leaf_probs[i]`` is the product of branch probabilities along leaf i,
     and ``expected_len`` is the mean leaf length under those probabilities.
+    Only ``leaf_distribution`` and ``build_tunstall`` build one, from ``p``.
     """
 
     codebook: Codebook
     leaf_probs: np.ndarray
+    p: Pmf
 
     @property
     def expected_len(self) -> float:
@@ -91,16 +93,18 @@ class LeafDistribution:
 def validate_complete(book: Codebook) -> Codebook:
     """Check a Codebook as it stands, rows in the given order, and return it.
 
-    Raises ValueError for an alphabet under 2 symbols, no leaves, an empty
-    leaf, a table that is not N rows by the longest leaf's length, or a
-    cell outside [0, D); DuplicateLeafError, PrefixViolationError, or
-    IncompleteCodebookError (with the exact rational deficit) when the
-    leaves are not a complete prefix-free codebook; and CodebookError when
-    the rows are out of order.
+    Raises ValueError for an alphabet under 2 symbols, a non-integer table
+    or lengths, no leaves, an empty leaf, a table that is not N rows by the
+    longest leaf's length, or a cell outside [0, D); DuplicateLeafError,
+    PrefixViolationError, or IncompleteCodebookError (with the exact
+    rational deficit) when the leaves are not a complete prefix-free
+    codebook; and CodebookError when the rows are out of order.
     """
     d, table, lengths = int(book.alphabet_size), book.table, book.lengths
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
+    if not (np.issubdtype(table.dtype, np.integer) and np.issubdtype(lengths.dtype, np.integer)):
+        raise ValueError("table and lengths must be integer arrays")
     if not lengths.size:
         raise ValueError("leaf set must be nonempty")
     if lengths.min() < 1:
@@ -154,7 +158,7 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
     probs = np.ones(len(codebook))
     for j in range(codebook.max_len()):
         probs *= np.where(lengths > j, pv[table[:, j]], 1.0)
-    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs))
+    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), p=p)
 
 
 def product_codebook(alphabet_size: int, n: int) -> Codebook:

@@ -111,10 +111,10 @@ class ArrayBitSource:
     def __init__(self, bits):
         if isinstance(bits, str):
             bits = [int(ch) for ch in bits]
-        b = np.asarray(bits, dtype=np.uint8)
-        if b.ndim != 1 or np.any(b > 1):
+        b = np.asarray(bits)
+        if b.ndim != 1 or not np.isin(b, (0, 1)).all():
             raise ValueError("bits must be a 1-d sequence of 0/1 values")
-        self._data, self._size = np.packbits(b), b.size
+        self._data, self._size = np.packbits(b.astype(np.uint8)), b.size
         self._pos = 0
 
     def take_bits(self, n: int) -> tuple[np.ndarray, int, int]:

@@ -5,7 +5,8 @@ per expected output symbol), the entropy rate of the generated codeword
 distribution, the resolution rate in the Han-Verdu sense (log2 of the
 minimal type order per expected output symbol), the informational
 divergence to the target leaf distribution, and the finite-length bounds
-the construction is supposed to obey.
+the construction is supposed to obey.  The bounds' mu, the smallest
+branch probability, comes from the code's own law ``code.target.p``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .probdist import (
     kl_divergence,
     min_type_order,
 )
+from .tunstall import round_size_down
 
 # Relative slack applied to every inequality in bound_suite.
 BOUND_SLACK = 1e-9
@@ -59,9 +61,9 @@ class BoundCheck:
     detail: str
 
 
-def rate_report(code: ResolutionCode, p: Pmf) -> RateReport:
-    """Evaluate every reported quantity for a built code over its target p."""
-    mu = p.mu()
+def rate_report(code: ResolutionCode) -> RateReport:
+    """Evaluate every reported quantity for a built code over its branching law."""
+    mu = code.target.p.mu()
     px = code.counts.probs()
     exp_len = code.exp_len
     px_entropy = entropy(code.counts)
@@ -91,7 +93,7 @@ def _le(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + BOUND_SLACK * max(1.0, abs(lhs), abs(rhs))
 
 
-def bound_suite(code: ResolutionCode, p: Pmf) -> list[BoundCheck]:
+def bound_suite(code: ResolutionCode) -> list[BoundCheck]:
     """Evaluate the finite-length inequalities for one code.
 
     The divergence, entropy, and max-probability bounds rely on the
@@ -99,8 +101,8 @@ def bound_suite(code: ResolutionCode, p: Pmf) -> list[BoundCheck]:
     variable-length scheme only; the rate inequalities hold for any code
     with a fixed-length input dictionary.
     """
-    r = rate_report(code, p)
-    mu = p.mu()
+    r = rate_report(code)
+    mu = code.target.p.mu()
     checks = []
 
     def add(name, lhs, rhs, fmt="{lhs:.9g} <= {rhs:.9g}"):
@@ -135,10 +137,11 @@ def sqrt_gap_policy(m: int) -> int:
     return 1 << max(1, m - gap)
 
 
-def convergence_probe(p: Pmf, m_list, policy=sqrt_gap_policy) -> list[RateReport]:
-    """Reports along a growing-m schedule; interpretation is the caller's.
+def convergence_probe(p: Pmf, m_list) -> list[RateReport]:
+    """Reports along the sqrt-gap schedule; interpretation is the caller's.
 
-    Under a policy with growing excess bits and vanishing excess fraction,
-    the divergence trends to zero and the rate to the target entropy.
+    Each size is sqrt_gap_policy(m) rounded down to a valid size (at least D)
+    for p, so the excess bits grow sublinearly: the divergence trends to zero.
     """
-    return [rate_report(build_code(p, policy(m), m), p) for m in m_list]
+    d = p.alphabet_size
+    return [rate_report(build_code(p, round_size_down(d, max(d, sqrt_gap_policy(m))), m)) for m in m_list]

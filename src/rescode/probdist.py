@@ -93,7 +93,7 @@ class TypedPmf:
         c = c.astype(np.int64)
         if np.any(c < 0):
             raise ValueError("counts must be nonnegative")
-        total = int(c.sum())
+        total = (int((c >> 32).sum()) << 32) + int((c & 0xFFFFFFFF).sum())  # exact: no half sum wraps int64
         if total != m:
             raise ValueError(f"counts sum to {total}, expected denominator {m}")
         object.__setattr__(self, "denominator", m)

@@ -87,7 +87,7 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
         rows = position[j][here]
         deeper[rows], lengths[rows], leaf_probs[rows] = False, j + 1, probs[j][here]
     codebook = validate_complete(Codebook(d, _frozen(table), _frozen(lengths)))
-    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(leaf_probs))
+    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(leaf_probs), p=p)
 
 
 def _grow(pv: np.ndarray, k: int, cutoff: float):

@@ -104,12 +104,14 @@ class BalanceReport:
     ok: bool
 
 
-def check_balance(ld, mu: float) -> BalanceReport:
+def check_balance(ld) -> BalanceReport:
     """Verify the Tunstall balance bounds on a built leaf distribution.
 
     ok means: max/min <= 1/mu, min >= mu/N, and max <= 1/(N*mu), each with
-    a small relative slack.  A failure indicates a construction bug.
+    a small relative slack, where mu is the smallest probability of the
+    branching law ld.p.  A failure indicates a construction bug.
     """
+    mu = ld.p.mu()
     n = len(ld.codebook)
     min_prob = float(ld.leaf_probs.min())
     max_prob = float(ld.leaf_probs.max())

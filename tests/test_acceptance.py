@@ -65,11 +65,11 @@ def grid_codes():
     for m, ns in GRID.items():
         for n in ns:
             code = build_code(TARGET, 2**n, m)
-            rows.append((code, rate_report(code, TARGET)))
+            rows.append((code, rate_report(code)))
             code_b = build_block_code(TARGET, n, m)
-            rows.append((code_b, rate_report(code_b, TARGET)))
+            rows.append((code_b, rate_report(code_b)))
     extra = build_code(TARGET, 3072, 12)
-    rows.append((extra, rate_report(extra, TARGET)))
+    rows.append((extra, rate_report(extra)))
     return rows, time.perf_counter() - t0
 
 
@@ -115,7 +115,7 @@ def test_criterion_3_tunstall_lemma():
         else:
             n = 3 + 2 * int(rng.integers(0, (4096 - 3) // 2 + 1))
         ld = build_tunstall(p, n)
-        rep = check_balance(ld, p.mu())
+        rep = check_balance(ld)
         trials += 1
         if not rep.ok:
             failures += 1
@@ -129,7 +129,7 @@ def test_criterion_4_bound_suite_on_grid(grid_codes):
     t0 = time.perf_counter()
     failed = []
     for code, _ in rows:
-        for check in bound_suite(code, TARGET):
+        for check in bound_suite(code):
             if not check.passed:
                 failed.append((code.scheme, code.m, code.num_codewords, check.name, check.detail))
     elapsed = build_time + (time.perf_counter() - t0)
@@ -211,7 +211,7 @@ def test_criterion_7_convergence_probe():
 def test_criterion_8_statistical_generation():
     t0 = time.perf_counter()
     code = build_code(TARGET, 3072, 12)
-    r = rate_report(code, TARGET)
+    r = rate_report(code)
     total = 0
     input_bits = 0
     leaf_counts = np.zeros(code.num_codewords, dtype=np.int64)

@@ -16,7 +16,7 @@ class TestBuildBlockCode:
         code = build_block_code(p, 1, 2)
         assert code.scheme == "b2b"
         assert list(code.counts.counts) == [1, 3]
-        r = rate_report(code, p)
+        r = rate_report(code)
         assert r.rate == pytest.approx(2.0, abs=1e-12)
         # frozen from the composition-enumeration oracle below
         assert r.kl == pytest.approx(0.0063202455, abs=1e-9)
@@ -27,7 +27,7 @@ class TestBuildBlockCode:
         p = Pmf([0.5, 0.5])
         code = build_block_code(p, 2, 2)
         assert list(code.counts.counts) == [1, 1, 1, 1]
-        r = rate_report(code, p)
+        r = rate_report(code)
         assert r.kl == 0.0
         assert r.rate == pytest.approx(1.0, abs=1e-12)
 
@@ -36,7 +36,7 @@ class TestBuildBlockCode:
         # (C(71,7) compositions), so certify by feasible one-exchanges
         p = Pmf([0.211, 0.789])
         code = build_block_code(p, 3, 6)
-        r = rate_report(code, p)
+        r = rate_report(code)
         assert r.rate == pytest.approx(2.0, abs=1e-12)
         q = code.target.leaf_probs
         base = r.kl
@@ -72,7 +72,7 @@ class TestSharedInvariants:
     def test_expected_len_is_block_length(self):
         p = Pmf([0.3, 0.7])
         for n, m in [(1, 3), (2, 5), (4, 7), (8, 10)]:
-            r = rate_report(build_block_code(p, n, m), p)
+            r = rate_report(build_block_code(p, n, m))
             assert r.exp_len == pytest.approx(n, abs=1e-9)
             assert r.rate == pytest.approx(m / n, abs=1e-9)
 

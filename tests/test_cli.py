@@ -110,7 +110,7 @@ class TestCurve:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == len(codes)
         for row, code in zip(rows, codes):
-            r = rate_report(code, p)
+            r = rate_report(code)
             assert row[:3] == [r.scheme, "10", str(r.num_codewords)]
             assert [float(v) for v in row[3:]] == [r.n_bits, r.q_bits, r.rate, r.entropy_rate, r.hv_rate,
                                                    r.kl, r.kl_bound, r.exp_len]

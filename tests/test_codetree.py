@@ -58,6 +58,17 @@ class TestValidateComplete:
         with pytest.raises(ValueError, match="table shape"):
             validate_complete(book)
 
+    def test_float_table(self):
+        # leaf_distribution would index the branch probabilities with it
+        book = Codebook(alphabet_size=2, table=np.array([[0.0], [1.0]]), lengths=np.array([1, 1]))
+        with pytest.raises(ValueError, match="integer arrays"):
+            validate_complete(book)
+
+    def test_float_lengths(self):
+        book = Codebook(alphabet_size=2, table=np.array([[0], [1]], dtype=np.uint8), lengths=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="integer arrays"):
+            validate_complete(book)
+
     def test_ternary(self):
         cb = validate_complete(flat_codebook([(0,), (1,), (2, 0), (2, 1), (2, 2)], 3))
         assert len(cb) == 5
@@ -168,6 +179,11 @@ class TestLeafDistribution:
     def test_bit_identical_to_the_per_leaf_fold(self, probs, codebook):
         p = Pmf(list(probs))
         assert np.array_equal(leaf_distribution(p, codebook).leaf_probs, loop_leaf_probs(p.probs, paths(codebook)))
+
+    def test_keeps_its_branching_law(self):
+        p = Pmf([0.8, 0.2])
+        assert leaf_distribution(p, product_codebook(2, 2)).p is p
+        assert build_tunstall(p, 5).p is p
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,11 @@ class TestGenerateStream:
         assert list(res.symbols) == [0, 0, 0, 1]
         assert res.input_bits == 6
 
+    @pytest.mark.parametrize("bits", [[0.5, 1], [-1, 0], [256], [2], "012", [[0, 1]]])
+    def test_array_source_takes_only_0_and_1(self, bits):
+        with pytest.raises(ValueError, match="0/1 values"):
+            ArrayBitSource(bits)
+
     def test_seeded_determinism(self, running_code):
         a = generate_stream(running_code, RandomBitSource(1), 100)
         b = generate_stream(running_code, RandomBitSource(1), 100)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescode import (
     Pmf,
@@ -10,6 +12,7 @@ from rescode import (
     build_code,
     convergence_probe,
     entropy,
+    is_valid_size,
     rate_report,
     sqrt_gap_policy,
 )
@@ -18,7 +21,7 @@ from rescode import (
 @pytest.fixture
 def running_report():
     p = Pmf([0.8, 0.2])
-    return rate_report(build_code(p, 3, 3), p)
+    return rate_report(build_code(p, 3, 3))
 
 
 class TestRateReport:
@@ -36,15 +39,22 @@ class TestRateReport:
 
     def test_trivial_uniform(self):
         p = Pmf([0.5, 0.5])
-        r = rate_report(build_code(p, 2, 1), p)
+        r = rate_report(build_code(p, 2, 1))
         assert r.rate == r.entropy_rate == r.hv_rate == pytest.approx(1.0, abs=1e-12)
         assert r.kl == 0.0
 
     def test_grid_point_bound_value(self):
         p = Pmf([0.211, 0.789])
-        r = rate_report(build_code(p, 4096, 12), p)
+        r = rate_report(build_code(p, 4096, 12))
         assert r.kl_bound == pytest.approx(math.log2(math.e) / 0.211, abs=1e-9)
         assert r.kl <= r.kl_bound
+
+    def test_bounds_read_the_law_the_code_was_built_from(self):
+        p = Pmf([0.211, 0.789])
+        code = build_code(p, 3072, 12)
+        assert code.target.p is p
+        r = rate_report(code)
+        assert r.kl_bound == pytest.approx(0.75 * math.log2(math.e) / 0.211, rel=1e-12)
 
     def test_normalized_kl(self, running_report):
         r = running_report
@@ -55,18 +65,18 @@ class TestRateReport:
 class TestBoundSuite:
     def test_running_example_all_pass(self):
         p = Pmf([0.8, 0.2])
-        checks = bound_suite(build_code(p, 3, 3), p)
+        checks = bound_suite(build_code(p, 3, 3))
         assert len(checks) == 6
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
     def test_trivial_equalities_pass(self):
         p = Pmf([0.5, 0.5])
-        checks = bound_suite(build_code(p, 2, 1), p)
+        checks = bound_suite(build_code(p, 2, 1))
         assert all(c.passed for c in checks)
 
     def test_b2b_runs_applicable_checks_only(self):
         p = Pmf([0.211, 0.789])
-        checks = bound_suite(build_block_code(p, 2, 4), p)
+        checks = bound_suite(build_block_code(p, 2, 4))
         names = {c.name for c in checks}
         assert "kl_le_divergence_bound" not in names
         assert "max_prob_le_bound" not in names
@@ -75,8 +85,8 @@ class TestBoundSuite:
     def test_grid_sample(self):
         p = Pmf([0.211, 0.789])
         for m, n in [(6, 3), (9, 7), (12, 10)]:
-            assert all(c.passed for c in bound_suite(build_code(p, 2**n, m), p))
-            assert all(c.passed for c in bound_suite(build_block_code(p, n, m), p))
+            assert all(c.passed for c in bound_suite(build_code(p, 2**n, m)))
+            assert all(c.passed for c in bound_suite(build_block_code(p, n, m)))
 
 
 class TestRandomizedBounds:
@@ -93,7 +103,7 @@ class TestRandomizedBounds:
                 n = int(rng.integers(2, upper + 1))
             else:
                 n = 3 + 2 * int(rng.integers(0, (upper - 3) // 2 + 1))
-            r = rate_report(build_code(p, n, m), p)
+            r = rate_report(build_code(p, n, m))
             slack = 1e-9 * max(1.0, abs(r.kl_bound))
             assert r.kl <= r.kl_bound + slack
             assert r.px_entropy >= r.entropy_lower - 1e-9
@@ -108,15 +118,32 @@ class TestConvergenceProbe:
         assert sqrt_gap_policy(16) == 2**12
         assert sqrt_gap_policy(20) == 2**15
 
+    def test_binary_sizes_are_the_policy(self):
+        reports = convergence_probe(Pmf([0.211, 0.789]), [8, 12, 16, 20])
+        assert [r.num_codewords for r in reports] == [2**5, 2**8, 2**12, 2**15]
+
+    def test_ternary_sizes_round_down(self):
+        reports = convergence_probe(Pmf([0.5, 0.3, 0.2]), [8, 12, 16, 20])
+        assert [r.num_codewords for r in reports] == [31, 255, 4095, 32767]
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 5).flatmap(lambda d: st.lists(st.integers(1, 100), min_size=d, max_size=d)),
+           st.integers(8, 20))
+    def test_every_alphabet_builds(self, weights, m):
+        p = Pmf(np.array(weights) / sum(weights))
+        (r,) = convergence_probe(p, [m])
+        assert r.m == m
+        assert is_valid_size(p.alphabet_size, r.num_codewords)
+        assert r.q_bits >= math.ceil(math.sqrt(m))
+
     def test_uniform_is_exact_along_schedule(self):
         p = Pmf([0.5, 0.5])
-        reports = convergence_probe(p, [4, 6, 8], policy=lambda m: 2**m)
-        for r in reports:
+        for m in (4, 6, 8):
+            r = rate_report(build_code(p, 2**m, m))
             assert r.kl == 0.0
             assert r.rate == pytest.approx(1.0, abs=1e-12)
-        # spending excess bits on a smaller codebook keeps the match exact
-        for r in convergence_probe(p, [4, 6, 8], policy=lambda m: 2 ** (m - 2)):
-            assert r.kl == 0.0
+            # spending excess bits on a smaller codebook keeps the match exact
+            assert rate_report(build_code(p, 2 ** (m - 2), m)).kl == 0.0
 
     def test_skewed_target_trend(self):
         p = Pmf([0.8, 0.2])

@@ -65,6 +65,12 @@ class TestTypedPmf:
         with pytest.raises(ValueError):
             TypedPmf(4, [2.5, 1.5])
 
+    def test_sum_is_exact_past_int64(self):
+        # an int64 sum wraps (2^63 - 1) * 2 + 4 around to 2
+        with pytest.raises(ValueError, match="counts sum to 18446744073709551618"):
+            TypedPmf(2, [2**63 - 1, 2**63 - 1, 4])
+        assert TypedPmf(1 << 62, [1 << 61, (1 << 61) - 5, 5]).denominator == 1 << 62
+
     def test_probs_on_demand(self):
         t = TypedPmf(8, [5, 1, 2])
         assert list(t.probs()) == [5 / 8, 1 / 8, 2 / 8]

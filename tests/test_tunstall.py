@@ -85,7 +85,7 @@ class TestBuild:
         p = Pmf([0.97, 0.03])
         ld = build_tunstall(p, 128)
         assert ld.codebook.max_len() > 64
-        assert check_balance(ld, p.mu()).ok
+        assert check_balance(ld).ok
 
     def test_internal_nodes_dominate_leaves(self):
         # the defining greedy invariant: every split node had maximal
@@ -126,7 +126,7 @@ class TestBuild:
 class TestBalance:
     def test_hand_example(self):
         p = Pmf([0.8, 0.2])
-        rep = check_balance(build_tunstall(p, 3), p.mu())
+        rep = check_balance(build_tunstall(p, 3))
         assert rep.ok
         assert rep.ratio == pytest.approx(4.0, abs=1e-12)
         assert rep.min_prob == pytest.approx(0.16, abs=1e-12)
@@ -134,13 +134,13 @@ class TestBalance:
 
     def test_uniform_ratio_one(self):
         p = Pmf([0.5, 0.5])
-        rep = check_balance(build_tunstall(p, 8), p.mu())
+        rep = check_balance(build_tunstall(p, 8))
         assert rep.ok
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_experiment_codebook(self):
         p = Pmf([0.211, 0.789])
-        rep = check_balance(build_tunstall(p, 3072), p.mu())
+        rep = check_balance(build_tunstall(p, 3072))
         assert rep.ok
         assert rep.ratio <= 1 / 0.211 + 1e-9
 
@@ -150,7 +150,7 @@ class TestBalance:
             d = int(rng.integers(2, 4))
             p = full_support_pmf(rng, d)
             ld = build_tunstall(p, random_valid_size(rng, d, upper=1024))
-            assert check_balance(ld, p.mu()).ok
+            assert check_balance(ld).ok
 
 
 @st.composite
@@ -177,7 +177,7 @@ class TestProperties:
         for x, prob in zip(paths(ld.codebook), ld.leaf_probs):
             ref = 2.0 ** math.fsum(logs[s] for s in x)
             assert abs(prob - ref) <= 1e-12 * ref, x
-        assert check_balance(ld, p.mu()).ok
+        assert check_balance(ld).ok
 
 
 @st.composite
