@@ -36,6 +36,7 @@ from .f2v import (
     StreamResult,
     build_code,
     generate_stream,
+    pack_codewords,
     stream,
 )
 from .block import build_block_code

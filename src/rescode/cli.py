@@ -146,40 +146,39 @@ def _code_and_bits(args):
     return code, f2v.RandomBitSource(args.seed)
 
 
-def _pack_symbols(symbols: np.ndarray, d: int) -> bytes:
-    if d == 2:  # 0/1 symbols are their own bit plane
-        return np.packbits(symbols).tobytes()
-    bits_per = max(1, math.ceil(math.log2(d)))
-    shifts = np.arange(bits_per - 1, -1, -1, dtype=symbols.dtype)
-    bits = ((symbols[:, None] >> shifts) & 1).reshape(-1)
-    return np.packbits(bits).tobytes()
-
-
 def _text_lines(symbols: np.ndarray) -> bytes:
-    # one ASCII digit per symbol, and a newline after every 64th symbol and after the last
-    ends = np.minimum(np.arange(64, symbols.size + 64, 64), symbols.size)
-    return np.insert((symbols + 48).astype(np.uint8), ends, 10).tobytes()
+    # one ASCII digit per symbol, and a newline after every 64th symbol and after the last:
+    # digits padded with newlines to whole lines, a newline column, cut after the last digit's newline
+    lines = -(-symbols.size // 64)
+    digits = np.full(lines * 64, 10, dtype=np.uint8)
+    digits[: symbols.size] = symbols + 48
+    rows = np.full((lines, 65), 10, dtype=np.uint8)
+    rows[:, :64] = digits.reshape(lines, 64)
+    return rows.reshape(-1)[: symbols.size + lines].tobytes()
 
 
 def cmd_generate(args) -> int:
-    if args.format == "text" and args.p.alphabet_size > 10:
+    text = args.format == "text"
+    if text and args.p.alphabet_size > 10:
         raise ValueError("text output writes one digit per symbol, so it needs at most 10 symbols; "
                          "use --format packed")
     code, source = _code_and_bits(args)
-    # Whole lines of text, or groups of 8 symbols that pack into whole bytes.
-    d = code.codebook.alphabet_size
-    encode, group = (_text_lines, 64) if args.format == "text" else (lambda s: _pack_symbols(s, d), 8)
     input_bits = output_symbols = 0
-    carry = np.empty(0, dtype=code.codebook.table.dtype)
+    # Text goes out in whole lines of 64 symbols; packed output in whole 64-bit words.
+    carry, word, bits = np.empty(0, dtype=code.codebook.table.dtype), 0, 0
     with _atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout.buffer) as out:
         for chunk in f2v.stream(code, source, args.symbols):
             input_bits += chunk.input_bits
             output_symbols += chunk.output_symbols
-            symbols = np.concatenate((carry, chunk.symbols))
-            whole = symbols.size - symbols.size % group
-            out.write(encode(symbols[:whole]))
-            carry = symbols[whole:]
-        out.write(encode(carry))
+            if text:
+                symbols = np.concatenate((carry, chunk.symbols))
+                whole = symbols.size - symbols.size % 64
+                out.write(_text_lines(symbols[:whole]))
+                carry = symbols[whole:]
+            else:
+                words, word, bits = f2v.pack_codewords(code, chunk.codewords, word, bits)
+                out.write(words.tobytes())
+        out.write(_text_lines(carry) if text else word.to_bytes(8, "big")[: -(-bits // 8)])
 
     rate = input_bits / output_symbols if output_symbols else math.nan
     print(f"input_bits={input_bits} output_symbols={output_symbols} empirical_rate={rate!r}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 A resolution code parses m fair input bits into an integer u, maps u to a
 codeword through contiguous integer ranges in canonical leaf order, and
-emits the codeword's symbols.  The codeword distribution is exactly the
-2^m-type quantization of the codebook's target leaf distribution.
+emits the codeword's index, which expands to its symbols or packs to
+their bits.  The codeword distribution is exactly the 2^m-type
+quantization of the codebook's target leaf distribution.
 
 Bit order is pinned for reproducibility: each m-bit word is built
 most-significant-bit first from consecutive bits, which every bit source
@@ -84,6 +85,22 @@ class ResolutionCode:
         first[first != np.repeat(ids, np.diff(self.cum >> shift))] = n - 1
         return _frozen(first)
 
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each codeword's bits, ceil(log2 D) per symbol MSB first, left-aligned in 64-bit pieces.
+
+        Returns the ``[N, P]`` uint64 pieces, zero past a codeword's end, and their bit counts (0 to 64).
+        """
+        book = self.codebook
+        width = (book.alphabet_size - 1).bit_length()
+        bits = book.lengths * width
+        values = np.zeros((len(book), -(-int(bits.max()) // 64)), dtype=np.uint64)
+        for t in range(book.max_len() * width):  # bit t is bit t % width of symbol t // width
+            plane = (book.table[:, t // width] >> (width - 1 - t % width)) & 1
+            values[:, t >> 6] |= plane.astype(np.uint64) << np.uint64(63 - (t & 63))
+        sizes = np.clip(bits[:, None] - 64 * np.arange(values.shape[1]), 0, 64)
+        return _frozen(values), _frozen(sizes.astype(np.uint8))
+
 
 def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
     """Tunstall codebook of the requested size plus 2^m-type codeword counts."""
@@ -97,12 +114,22 @@ def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
 
 @dataclass(frozen=True, eq=False)
 class StreamResult:
-    """Generated symbols plus the bookkeeping an empirical check needs."""
+    """Generated codeword indices into ``codebook`` plus the bookkeeping an empirical check needs.
 
-    symbols: np.ndarray
+    ``symbols``, the codewords' symbols end to end, is expanded from the
+    indices when it is first read.
+    """
+
+    codebook: Codebook
+    codewords: np.ndarray
     input_bits: int
     output_symbols: int
     leaf_counts: np.ndarray
+
+    @cached_property
+    def symbols(self) -> np.ndarray:
+        book, idx = self.codebook, self.codewords
+        return np.take(book.table, idx, axis=0)[np.take(book.mask, idx, axis=0)]
 
 
 class ArrayBitSource:
@@ -180,7 +207,7 @@ def _take_words(source, count: int, width: int) -> np.ndarray:
 
 
 def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamResult:
-    """Consume m bits per codeword and emit the concatenated codeword symbols.
+    """Consume m bits per codeword and emit the codewords' indices.
 
     A source that runs out serves fewer words: then input_bits < k * m,
     and the result holds the whole words it did serve.
@@ -193,14 +220,38 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     idx = guide[words >> (code.m + 1 - guide.size.bit_length())]
     split = np.flatnonzero(idx == code.num_codewords - 1)  # a bucket that starts in the last codeword ends in it
     idx[split] = np.searchsorted(code.cum, words[split], side="right") - 1
-    book = code.codebook
-    symbols = np.take(book.table, idx, axis=0)[np.take(book.mask, idx, axis=0)]
+    counts = np.bincount(idx, minlength=code.num_codewords)
     return StreamResult(
-        symbols=symbols,
+        codebook=code.codebook,
+        codewords=idx,
         input_bits=int(words.size) * code.m,
-        output_symbols=int(symbols.size),
-        leaf_counts=np.bincount(idx, minlength=code.num_codewords),
+        output_symbols=int(counts @ code.codebook.lengths),
+        leaf_counts=counts,
     )
+
+
+def pack_codewords(code: ResolutionCode, codewords: np.ndarray, word: int, bits: int):
+    """The codewords' symbols at ceil(log2 D) bits each, MSB first, after the top ``bits`` (< 64) bits of ``word``.
+
+    Returns the whole 64-bit output words as a big-endian uint64 array,
+    then the last, partial word and its bit count (< 64), to pass on with
+    the next codewords.  Each piece's head is shifted to its offset in the
+    word it starts in, and the heads of one word are summed (their bits do
+    not overlap); a piece that runs past its word puts its tail in the next.
+    """
+    values, sizes = code.pieces
+    heads = np.concatenate((np.array([word], dtype=np.uint64), values[codewords].reshape(-1)))
+    sizes = np.concatenate(([bits], sizes[codewords].reshape(-1)))
+    ends = np.cumsum(sizes, dtype=np.int64)
+    starts = ends - sizes
+    total = int(ends[-1])
+    slot, offset = starts >> 6, starts & 63
+    out = np.zeros(total // 64 + 1, dtype=np.uint64)
+    first = np.flatnonzero(np.concatenate(([True], slot[1:] != slot[:-1])))
+    out[slot[first]] = np.add.reduceat(heads >> offset.view(np.uint64), first)
+    cross = np.flatnonzero(offset + sizes > 64)
+    out[slot[cross] + 1] |= heads[cross] << (64 - offset[cross]).view(np.uint64)
+    return out[: total // 64].astype(">u8"), int(out[-1]), total % 64
 
 
 def stream(code: ResolutionCode, bits, min_symbols: int):

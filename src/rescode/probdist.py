@@ -85,14 +85,16 @@ class TypedPmf:
         c = np.asarray(counts)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
+        if np.any(c < 0):
+            raise ValueError("counts must be nonnegative")
+        if c.dtype.kind in "ufO" and np.any(c >= 1 << 63):  # a cast to int64 would wrap or overflow
+            raise ValueError("counts must lie in the int64 range, below 2^63")
         if not np.issubdtype(c.dtype, np.integer):
             ci = np.asarray(counts, dtype=np.int64)
             if np.any(ci != c):
                 raise ValueError("counts must be integers")
             c = ci
         c = c.astype(np.int64)
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
         total = (int((c >> 32).sum()) << 32) + int((c & 0xFFFFFFFF).sum())  # exact: no half sum wraps int64
         if total != m:
             raise ValueError(f"counts sum to {total}, expected denominator {m}")

@@ -6,9 +6,11 @@ quantize keeps one heap entry per symbol and replaces it in place (and
 brute_force_quantize enumerates every composition instead), codebooks are
 read through their table and lengths (paths turns them back into tuples,
 flat_codebook turns leaf paths into one), the CLI writes text output as
-one byte array per chunk, and the stream cuts its words from packed bytes
-and maps them through its guide table.  check_balance re-proves the
-Tunstall balance that build_tunstall guarantees by construction.
+one byte array per chunk and packed output straight from codeword
+indices (pack_symbols packs expanded symbols instead), and the stream
+cuts its words from packed bytes and maps them through its guide table.
+check_balance re-proves the Tunstall balance that build_tunstall
+guarantees by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from rescode import Codebook, DuplicateLeafError, IncompleteCodebookError, PrefixViolationError, TypedPmf
+from rescode import (Codebook, DuplicateLeafError, IncompleteCodebookError, PrefixViolationError, TypedPmf,
+                     pack_codewords)
 from rescode.probdist import as_prob_vector, checked_probs
 
 # The widest input length whose 2^m words the tests enumerate one by one.
@@ -222,6 +225,24 @@ def brute_force_quantize(q, m_units: int) -> TypedPmf:
     counts = np.zeros(qv.size, dtype=np.int64)
     counts[support] = best
     return TypedPmf(m, counts)
+
+
+def pack_symbols(symbols: np.ndarray, d: int) -> bytes:
+    """Packed output from expanded symbols: each symbol's ceil(log2 d) bits, MSB first, by np.packbits."""
+    bits_per = max(1, math.ceil(math.log2(d)))
+    shifts = np.arange(bits_per - 1, -1, -1, dtype=symbols.dtype)
+    return np.packbits(((symbols[:, None] >> shifts) & 1).reshape(-1)).tobytes()
+
+
+def pack_chunks(code, chunks) -> tuple[bytes, list[int]]:
+    """The bytes pack_codewords gives for chunks of codeword indices, a 64-bit word carried between them, and
+    the carried bit count after each chunk."""
+    out, word, bits, carried = [], 0, 0, []
+    for idx in chunks:
+        words, word, bits = pack_codewords(code, idx, word, bits)
+        out.append(words.tobytes())
+        carried.append(bits)
+    return b"".join(out) + word.to_bytes(8, "big")[: -(-bits // 8)], carried
 
 
 def digit_lines(symbols) -> bytes:

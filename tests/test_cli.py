@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import rescode
 from rescode import (Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, f2v, generate_stream,
                      rate_report, tunstall)
-from references import digit_lines, interval_map, paths, served_bits
+from references import digit_lines, interval_map, pack_chunks, pack_symbols, paths, served_bits
 
 
 def run(capsys, argv):
@@ -213,6 +213,7 @@ class TestGenerate:
         expected = generate_stream(build_code(Pmf([1 / 300] * 300), 300, 10), RandomBitSource(1), 1000)
         assert np.array_equal(symbols, expected.symbols)
         assert symbols.max() >= 256
+        assert out_path.read_bytes()[: 1000 * 9 // 8] == pack_symbols(expected.symbols, 300)
 
     @pytest.mark.parametrize("argv", [
         ["--p", "0.5,0.3,0.2", "--m", "8", "--size", "99", "--symbols", "1001", "--seed", "4"],
@@ -297,15 +298,28 @@ def test_text_lines_match_per_symbol_formatter(d, digits):
     assert cli._text_lines(symbols) == digit_lines(symbols)
 
 
+BINARY_CODE = build_code(Pmf([0.5, 0.5]), 2, 1)  # codeword i is the one symbol i
+
+
 @given(st.lists(st.integers(0, 1), max_size=100))
 def test_binary_symbols_pack_as_their_own_bits(bits):
-    symbols = np.asarray(bits, dtype=np.uint8)
-    packed = np.frombuffer(cli._pack_symbols(symbols, 2), dtype=np.uint8)
-    assert packed.size == -(-symbols.size // 8)
-    assert np.unpackbits(packed).tolist() == bits + [0] * (8 * packed.size - symbols.size)
+    packed = np.frombuffer(pack_chunks(BINARY_CODE, [np.asarray(bits, dtype=np.int64)])[0], dtype=np.uint8)
+    assert packed.size == -(-len(bits) // 8)
+    assert np.unpackbits(packed).tolist() == bits + [0] * (8 * packed.size - len(bits))
 
 
 class TestValidate:
+    def test_expands_no_symbols(self, capsys, monkeypatch, tmp_path):
+        # validate reads counts and packed output packs codeword indices; only text output reads symbols
+        expand, reads = f2v.StreamResult.symbols.func, []
+        monkeypatch.setattr(f2v.StreamResult, "symbols", property(lambda r: reads.append(r) or expand(r)))
+        argv = ["--p", "0.211,0.789", "--m", "12", "--size", "3072", "--symbols", "100000", "--seed", "42"]
+        assert run(capsys, ["validate", *argv, "--tv-threshold", "2"])[0] == 0
+        assert run(capsys, ["generate", *argv, "--format", "packed", "--out", str(tmp_path / "sym.bin")])[0] == 0
+        assert reads == []
+        assert run(capsys, ["generate", *argv, "--out", str(tmp_path / "sym.txt")])[0] == 0
+        assert reads
+
     def test_exhaustive_pass(self, capsys):
         code, out, _ = run(capsys, ["validate", "--p", "0.8,0.2", "--m", "3", "--size", "3",
                                     "--symbols", "20000", "--seed", "7", "--tv-threshold", "0.05"])

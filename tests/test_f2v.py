@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,8 @@ from rescode import (
     generate_stream,
     stream,
 )
-from references import EXHAUSTIVE_BITS, column_words, induced_counts, interval_map, paths, served_bits
+from references import (EXHAUSTIVE_BITS, column_words, induced_counts, interval_map, pack_chunks, pack_symbols, paths,
+                        served_bits)
 
 
 def codeword(code, u):
@@ -275,6 +277,7 @@ def check_against_per_word_oracle(code, bits, chunks):
     expected_counts = np.bincount([index[leaf] for leaf in leaves], minlength=code.num_codewords)
 
     one = generate_stream(code, ArrayBitSource(bits), words)
+    assert one.codewords.tolist() == [index[leaf] for leaf in leaves]
     assert one.symbols.tolist() == expected
     assert np.array_equal(one.leaf_counts, expected_counts)
     assert one.input_bits == words * m
@@ -416,3 +419,52 @@ class TestStreamProperties:
             assert sum(r.input_bits for r in parts) == words * m
             assert sum(r.output_symbols for r in parts) == total
             assert np.array_equal(sum(r.leaf_counts for r in parts), expected_counts)
+
+
+# (p, N, m) for D = 2, 3, 5, 16 and 300; the longest codeword of "D2-long" is 134 bits, three pieces
+PACK_CODES = {
+    "D2": ([0.211, 0.789], 64, 9),
+    "D2-long": ([0.05, 0.95], 4096, 13),
+    "D3": ([0.5, 0.3, 0.2], 99, 8),
+    "D5": ([0.1, 0.2, 0.3, 0.15, 0.25], 61, 8),
+    "D16": ([1 / 16] * 16, 46, 8),
+    "D300": ([1 / 300] * 300, 300, 10),
+}
+
+
+@lru_cache(maxsize=None)
+def pack_code(name):
+    p, n, m = PACK_CODES[name]
+    return build_code(Pmf(p), n, m)
+
+
+def expanded(code, idx) -> np.ndarray:
+    leaves = paths(code.codebook)
+    return np.array([s for i in idx for s in leaves[i]], dtype=code.codebook.table.dtype)
+
+
+class TestPackCodewords:
+    def test_long_codewords_take_several_pieces(self):
+        code = pack_code("D2-long")
+        values, sizes = code.pieces
+        assert values.shape[1] == 3 and code.codebook.max_len() > 128
+        assert np.array_equal(sizes.sum(axis=1), code.codebook.lengths)
+
+    @pytest.mark.parametrize("name", list(PACK_CODES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_packbits_of_the_symbols_in_any_chunking(self, name, data):
+        code = pack_code(name)
+        idx = np.array(data.draw(st.lists(st.integers(0, code.num_codewords - 1), max_size=60)), dtype=np.int64)
+        cuts = sorted(data.draw(st.lists(st.integers(0, idx.size), max_size=5)))
+        got, _ = pack_chunks(code, np.split(idx, cuts) + [idx[:0]])  # the last chunk is empty
+        assert got == pack_symbols(expanded(code, idx), code.codebook.alphabet_size)
+
+    @pytest.mark.parametrize("name", list(PACK_CODES))
+    def test_one_codeword_chunks_carry_every_bit_offset(self, name):
+        # every offset a multiple of the symbol width can reach: all 64 for D = 2, 5 and 300
+        code = pack_code(name)
+        idx = np.random.default_rng(1).integers(0, code.num_codewords, size=1000)
+        got, carried = pack_chunks(code, np.split(idx, np.arange(1, idx.size)))
+        assert set(carried) == set(range(0, 64, math.gcd(64, (code.codebook.alphabet_size - 1).bit_length())))
+        assert got == pack_symbols(expanded(code, idx), code.codebook.alphabet_size)

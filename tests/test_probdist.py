@@ -71,6 +71,12 @@ class TestTypedPmf:
             TypedPmf(2, [2**63 - 1, 2**63 - 1, 4])
         assert TypedPmf(1 << 62, [1 << 61, (1 << 61) - 5, 5]).denominator == 1 << 62
 
+    @pytest.mark.parametrize("denominator, counts", [(2**63, [2**63]), (2, [1.0, 1e19])], ids=["int", "float"])
+    def test_counts_past_int64_name_the_range(self, denominator, counts):
+        # an int64 cast would wrap 2^63 negative, and 1e19 overflows it
+        with pytest.raises(ValueError, match="int64 range"):
+            TypedPmf(denominator, counts)
+
     def test_probs_on_demand(self):
         t = TypedPmf(8, [5, 1, 2])
         assert list(t.probs()) == [5 / 8, 1 / 8, 2 / 8]
