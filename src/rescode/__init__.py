@@ -8,7 +8,6 @@ well they do it, and compare against the optimal block-to-block baseline.
 from .probdist import (
     Pmf,
     TypedPmf,
-    UnboundedRatioError,
     entropy,
     kl_divergence,
     kl_tv_bound,
@@ -18,10 +17,7 @@ from .probdist import (
 from .codetree import (
     Codebook,
     CodebookError,
-    DuplicateLeafError,
-    IncompleteCodebookError,
     LeafDistribution,
-    PrefixViolationError,
     leaf_distribution,
     product_codebook,
     validate_complete,

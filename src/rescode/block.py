@@ -8,6 +8,8 @@ reference the variable-length scheme is measured against.
 
 from __future__ import annotations
 
+import operator
+
 from . import mtype
 from .codetree import leaf_distribution, product_codebook
 from .f2v import MAX_INPUT_BITS, ResolutionCode
@@ -20,7 +22,7 @@ def build_block_code(p: Pmf, n: int, m: int) -> ResolutionCode:
     The rate is exactly m/n bits per symbol; the divergence is that of the
     optimal 2^m-type quantization of the n-fold product distribution.
     """
-    m = int(m)
+    m = operator.index(m)
     if not 1 <= m <= MAX_INPUT_BITS:
         raise ValueError(f"input length must be in [1, {MAX_INPUT_BITS}] bits")
     codebook = product_codebook(p.alphabet_size, n)

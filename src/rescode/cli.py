@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import sys
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import block, f2v, metrics, mtype, tunstall
-from .probdist import Pmf, entropy, kl_divergence, variational_distance
+from .probdist import Pmf, kl_divergence, variational_distance
 
 CSV_HEADER = "scheme,m,N,n_bits,q,rate,entropy_rate,hv_rate,kl_bits,kl_bound_bits,exp_len"
 
@@ -55,6 +56,8 @@ def _format_row(r: metrics.RateReport) -> str:
 @contextlib.contextmanager
 def _atomic_write(path: str):
     """A binary handle on a new file beside path (umask mode), renamed over path on success."""
+    if os.path.isdir(path) or path.endswith(os.sep):  # before the temporary file, so nothing is written
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".rescode-{os.urandom(6).hex()}")
     try:
         handle = open(tmp, "xb")
@@ -81,14 +84,6 @@ def _reachable_size(d: int, size: int, round_size: bool) -> int:
     return tunstall.round_size_down(d, size)
 
 
-def _gnuplot_layout(rows: list[metrics.RateReport], target_entropy: float) -> str:
-    lines = [f"# target_entropy_bits = {target_entropy!r}", "# columns: rate kl_bits N"]
-    for scheme, m in dict.fromkeys((r.scheme, r.m) for r in rows):
-        lines += ["", "", f"# scheme={scheme} m={m}"]
-        lines += [f"{r.rate!r} {r.kl!r} {r.num_codewords}" for r in rows if (r.scheme, r.m) == (scheme, m)]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_curve(args) -> int:
     p = args.p
     if args.grid_table and (args.m or args.n_list):
@@ -105,8 +100,6 @@ def cmd_curve(args) -> int:
     for s in schemes:
         if s not in ("f2v", "b2b"):
             raise ValueError(f"unknown scheme {s!r}")
-    if args.emit_gnuplot and not args.out:
-        raise ValueError("--emit-gnuplot requires --out")
 
     d = p.alphabet_size
     points = [("b2b", m, n) for m, n in pairs] if "b2b" in schemes else []
@@ -127,9 +120,6 @@ def cmd_curve(args) -> int:
     if args.out:
         with _atomic_write(args.out) as handle:
             handle.write(text.encode())
-        if args.emit_gnuplot:
-            with _atomic_write(args.out + ".gnuplot") as handle:
-                handle.write(_gnuplot_layout(rows, entropy(p)).encode())
     else:
         sys.stdout.write(text)
     return 0
@@ -247,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--extra-size", type=int, action="append",
                        help="additional f2v codebook size, paired with every m; repeatable")
     curve.add_argument("--out", default=None, help="CSV path (default stdout); written atomically")
-    curve.add_argument("--emit-gnuplot", action="store_true",
-                       help="also write <out>.gnuplot with one block per (scheme, m) series")
     curve.add_argument("--round-size", action="store_true")
     curve.set_defaults(func=cmd_curve)
 

@@ -8,6 +8,7 @@ on top of a codebook refers to that order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -21,23 +22,7 @@ MAX_PRODUCT_LEAVES = 1 << 20
 
 
 class CodebookError(ValueError):
-    """Base class for invalid codebook structures."""
-
-
-class PrefixViolationError(CodebookError):
-    """One leaf path is a prefix of another."""
-
-
-class DuplicateLeafError(CodebookError):
-    """The same leaf path appears twice."""
-
-
-class IncompleteCodebookError(CodebookError):
-    """The Kraft sum differs from 1; ``deficit`` is the exact 1 - sum."""
-
-    def __init__(self, deficit: Fraction):
-        self.deficit = deficit
-        super().__init__(f"Kraft sum differs from 1 by exact deficit {deficit}")
+    """The leaves are not a complete prefix-free codebook; the message names the defect."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +80,12 @@ def validate_complete(book: Codebook) -> Codebook:
 
     Raises ValueError for an alphabet under 2 symbols, a non-integer table
     or lengths, no leaves, an empty leaf, a table that is not N rows by the
-    longest leaf's length, or a cell outside [0, D); DuplicateLeafError,
-    PrefixViolationError, or IncompleteCodebookError (with the exact
-    rational deficit) when the leaves are not a complete prefix-free
-    codebook; and CodebookError when the rows are out of order.
+    longest leaf's length, or a cell outside [0, D); and CodebookError,
+    naming the duplicate leaf, the prefix pair, the rows out of order or
+    the exact rational Kraft deficit, when the rows are not a sorted
+    complete prefix-free codebook.
     """
-    d, table, lengths = int(book.alphabet_size), book.table, book.lengths
+    d, table, lengths = operator.index(book.alphabet_size), book.table, book.lengths
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
     if not (np.issubdtype(table.dtype, np.integer) and np.issubdtype(lengths.dtype, np.integer)):
@@ -128,15 +113,15 @@ def validate_complete(book: Codebook) -> Codebook:
         i = int(ok.argmin())
         a, b = (tuple(table[r, : lengths[r]].tolist()) for r in (i, i + 1))
         if a == b:
-            raise DuplicateLeafError(f"duplicate leaf {a}")
+            raise CodebookError(f"duplicate leaf {a}")
         if b[: len(a)] == a:
-            raise PrefixViolationError(f"leaf {a} is a prefix of leaf {b}")
+            raise CodebookError(f"leaf {a} is a prefix of leaf {b}")
         raise CodebookError(f"leaf {a} sorts after leaf {b}")
     # D^lmax times the Kraft sum, exactly: sum of count(l) * D^(lmax - l), by Horner's rule
     kraft = reduce(lambda acc, count: acc * d + count, np.bincount(lengths)[1:].tolist(), 0)
     full = d ** book.max_len()
     if kraft != full:
-        raise IncompleteCodebookError(Fraction(full - kraft, full))
+        raise CodebookError(f"Kraft sum differs from 1 by exact deficit {Fraction(full - kraft, full)}")
     return book
 
 
@@ -163,7 +148,7 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
 
 def product_codebook(alphabet_size: int, n: int) -> Codebook:
     """All D^n paths of length n, in lexicographic order."""
-    d = int(alphabet_size)
+    d, n = operator.index(alphabet_size), operator.index(n)
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
     if n < 1:

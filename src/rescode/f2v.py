@@ -17,6 +17,7 @@ bytes of 64-bit PCG64 draws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,7 +105,7 @@ class ResolutionCode:
 
 def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
     """Tunstall codebook of the requested size plus 2^m-type codeword counts."""
-    m = int(m)
+    m = operator.index(m)
     if not 1 <= m <= MAX_INPUT_BITS:
         raise ValueError(f"input length must be in [1, {MAX_INPUT_BITS}] bits")
     target = tunstall.build_tunstall(p, num_codewords)
@@ -212,7 +213,7 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     A source that runs out serves fewer words: then input_bits < k * m,
     and the result holds the whole words it did serve.
     """
-    k = int(num_codewords)
+    k = operator.index(num_codewords)
     if k < 0:
         raise ValueError("number of codewords must be nonnegative")
     words = _take_words(bits, k, code.m)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def quantize(q, m_units: int) -> TypedPmf:
     Zero-probability symbols receive zero counts.  Exact ties in marginal
     cost break toward the smaller symbol index.
     """
-    m = int(m_units)
+    m = operator.index(m_units)
     if not 1 <= m <= 1 << 62:  # counts and their caps stay exact in int64
         raise ValueError("number of units must be an integer in [1, 2^62]")
     mq = m * checked_probs(as_prob_vector(q))

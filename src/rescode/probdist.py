@@ -9,6 +9,7 @@ exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,6 @@ import numpy as np
 SUM_TOL = 1e-9
 
 LOG2E = math.log2(math.e)
-
-
-class UnboundedRatioError(ValueError):
-    """supp(p) is not contained in supp(q), so log-ratios are unbounded."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -33,8 +30,8 @@ def checked_probs(probs) -> np.ndarray:
     v = np.asarray(probs, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("probability vector must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(v)) or np.any(v < 0):
-        raise ValueError("probabilities must be finite and nonnegative")
+    if not np.all(np.isfinite(v)) or np.any(v < 0) or np.any(v > 1 + SUM_TOL):  # no entry can overflow the sum
+        raise ValueError(f"probabilities must be finite and in [0, 1 + {SUM_TOL}]")
     s = float(v.sum())
     if abs(s - 1.0) > SUM_TOL:
         raise ValueError(f"probabilities sum to {s!r}, expected 1 within {SUM_TOL}")
@@ -79,7 +76,7 @@ class TypedPmf:
     counts: np.ndarray
 
     def __init__(self, denominator: int, counts) -> None:
-        m = int(denominator)
+        m = operator.index(denominator)
         if m < 1:
             raise ValueError("denominator must be a positive integer")
         c = np.asarray(counts)
@@ -169,7 +166,7 @@ def kl_tv_bound(p, q) -> float:
     pv, qv = _aligned(p, q)
     mask = pv > 0
     if np.any(qv[mask] <= 0):
-        raise UnboundedRatioError("supp(p) must be contained in supp(q)")
+        raise ValueError("supp(p) must be contained in supp(q)")
     tv = variational_distance(pv, qv)
     if tv >= 1.0:
         raise ValueError(f"variational distance {tv!r} >= 1; bound requires TV < 1")

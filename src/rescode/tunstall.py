@@ -8,6 +8,8 @@ by the factor 1/mu, where mu is the smallest branch probability.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .codetree import Codebook, LeafDistribution, validate_complete
@@ -19,15 +21,13 @@ MAX_LEAVES = 1 << 24
 
 def is_valid_size(alphabet_size: int, num_codewords: int) -> bool:
     """True when a D-ary Tunstall tree with exactly this many leaves exists."""
-    d = int(alphabet_size)
-    n = int(num_codewords)
+    d, n = operator.index(alphabet_size), operator.index(num_codewords)
     return d >= 2 and n >= d and (n - d) % (d - 1) == 0
 
 
 def round_size_down(alphabet_size: int, num_codewords: int) -> int:
     """Largest valid codebook size not exceeding num_codewords."""
-    d = int(alphabet_size)
-    n = int(num_codewords)
+    d, n = operator.index(alphabet_size), operator.index(num_codewords)
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
     if n < d:
@@ -47,7 +47,7 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
     split first.  Sizes must satisfy N = D + k(D-1); others are rejected.
     """
     d = p.alphabet_size
-    n = int(num_codewords)
+    n = operator.index(num_codewords)
     if n > MAX_LEAVES:
         raise ValueError(f"codebook size {n} is above the cap {MAX_LEAVES}")
     if d < 2:

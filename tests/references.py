@@ -24,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from rescode import (Codebook, DuplicateLeafError, IncompleteCodebookError, PrefixViolationError, TypedPmf,
-                     pack_codewords)
+from rescode import Codebook, CodebookError, TypedPmf, pack_codewords
 from rescode.probdist import as_prob_vector, checked_probs
 
 # The widest input length whose 2^m words the tests enumerate one by one.
@@ -87,13 +86,13 @@ def tuple_validate_complete(leaves, alphabet_size: int):
     paths.sort()
     for a, b in itertools.pairwise(paths):
         if a == b:
-            raise DuplicateLeafError(f"duplicate leaf {a}")
+            raise CodebookError(f"duplicate leaf {a}")
         if b[: len(a)] == a:
-            raise PrefixViolationError(f"leaf {a} is a prefix of leaf {b}")
+            raise CodebookError(f"leaf {a} is a prefix of leaf {b}")
     lmax = max(len(x) for x in paths)
     kraft = sum(d ** (lmax - len(x)) for x in paths)
     if kraft != d**lmax:
-        raise IncompleteCodebookError(Fraction(d**lmax - kraft, d**lmax))
+        raise CodebookError(f"Kraft sum differs from 1 by exact deficit {Fraction(d**lmax - kraft, d**lmax)}")
     return tuple(paths)
 
 

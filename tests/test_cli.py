@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rescode
-from rescode import (Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, f2v, generate_stream,
+from rescode import (Pmf, RandomBitSource, build_block_code, build_code, cli, codetree, f2v, generate_stream,
                      rate_report, tunstall)
 from references import digit_lines, interval_map, pack_chunks, pack_symbols, paths, served_bits
 
@@ -92,14 +92,6 @@ class TestCurve:
         row = out.splitlines()[1].split(",")
         assert float(row[5]) == 1.5867768595041323
 
-    def test_gnuplot_companion(self, capsys, tmp_path):
-        out = tmp_path / "curve.csv"
-        run(capsys, ["curve", "--p", "0.211,0.789", "--m", "6", "--n-list", "3,4",
-                     "--schemes", "f2v", "--out", str(out), "--emit-gnuplot"])
-        layout = (tmp_path / "curve.csv.gnuplot").read_text()
-        assert "# scheme=f2v m=6" in layout
-        assert layout.startswith("# target_entropy_bits")
-
     def test_rows_use_p_as_parsed(self, capsys):
         # Pmf renormalizes this p to a vector that a second Pmf would move again
         text = "0.46335848984461653,0.3373961461805628,0.1992453639748208"
@@ -114,17 +106,6 @@ class TestCurve:
             assert row[:3] == [r.scheme, "10", str(r.num_codewords)]
             assert [float(v) for v in row[3:]] == [r.n_bits, r.q_bits, r.rate, r.entropy_rate, r.hv_rate,
                                                    r.kl, r.kl_bound, r.exp_len]
-
-    def test_gnuplot_without_out_is_rejected_before_any_build(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a code was built")
-
-        monkeypatch.setattr(f2v, "build_code", refuse)
-        monkeypatch.setattr(block, "build_block_code", refuse)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["curve", "--p", "0.5,0.5", "--m", "30", "--n-list", "2", "--emit-gnuplot"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == "error: --emit-gnuplot requires --out\n"
 
     def test_usage_error_without_sizes(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -456,6 +437,22 @@ class TestUsageErrors:
         # the path the user gave, not the writer's temporary file
         assert repr(missing) in err and ".rescode-" not in err
 
+    @pytest.mark.parametrize("slash", ["", "/"])
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--seed", "1"],
+        ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2"],
+    ], ids=["generate", "curve"])
+    def test_out_naming_a_directory(self, capsys, monkeypatch, tmp_path, argv, slash):
+        def refuse(*args):
+            raise AssertionError("symbols were generated")
+
+        monkeypatch.setattr(f2v, "stream", refuse)
+        target = tmp_path / "dir"
+        target.mkdir()
+        assert exit_code(argv + ["--out", f"{target}{slash}"]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(target) + slash!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any(target.iterdir())
+
 
 class TestQuantizeCommand:
     def test_prints_counts_and_kl(self, capsys):
@@ -481,12 +478,12 @@ def test_written_files_get_the_umask_mode(capsys, tmp_path):
     plain = tmp_path / "plain"
     open(plain, "w").close()
     curve, generated = tmp_path / "curve.csv", tmp_path / "sym.txt"
-    run(capsys, ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--out", str(curve), "--emit-gnuplot"])
+    run(capsys, ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--out", str(curve)])
     run(capsys, TestGenerate.ARGS + ["--seed", "1", "--out", str(generated)])
     mode = stat.S_IMODE(plain.stat().st_mode)
-    for path in (curve, Path(f"{curve}.gnuplot"), generated):
+    for path in (curve, generated):
         assert stat.S_IMODE(path.stat().st_mode) == mode, path
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "curve.csv.gnuplot", "plain", "sym.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "plain", "sym.txt"]
 
 
 def test_console_exit_status():
@@ -500,6 +497,23 @@ def test_console_exit_status():
     assert error.returncode == 2 and error.stderr.startswith("error: ")
     done = console("quantize", "--q", "0.64,0.16,0.2", "--M", "8")
     assert done.returncode == 0 and done.stdout.startswith("counts=5,1,2\n")
+
+
+TOO_BIG = "probabilities must be finite and in [0, 1 + 1e-09]"
+
+
+@pytest.mark.parametrize("argv, error_line", [
+    (["quantize", "--q", "1e308,1e308", "--M", "4"], f"error: {TOO_BIG}"),
+    (["curve", "--p", "1e308,1e308", "--m", "4", "--n-list", "2"], f"rescode curve: error: argument --p: {TOO_BIG}"),
+], ids=["q", "p"])
+def test_huge_probabilities_fail_without_a_warning(argv, error_line):
+    # the entries' sum overflows, so they are rejected before it is taken
+    src = str(Path(rescode.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-m", "rescode.cli", *argv], env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    # stderr holds the one error line, after argparse's usage lines for --p
+    assert [line for line in result.stderr.splitlines() if not line.startswith(("usage: ", " "))] == [error_line]
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -10,17 +10,24 @@ from hypothesis import strategies as st
 
 from rescode import (
     ArrayBitSource,
+    Codebook,
     FileBitSource,
     Pmf,
     RandomBitSource,
     ResolutionCode,
     TypedPmf,
+    build_block_code,
     build_code,
     build_tunstall,
     entropy,
     f2v,
     generate_stream,
+    is_valid_size,
+    product_codebook,
+    quantize,
+    round_size_down,
     stream,
+    validate_complete,
 )
 from references import (EXHAUSTIVE_BITS, column_words, induced_counts, interval_map, pack_chunks, pack_symbols, paths,
                         served_bits)
@@ -60,6 +67,34 @@ class TestBuildCode:
     def test_m_cap(self):
         with pytest.raises(ValueError):
             build_code(Pmf([0.5, 0.5]), 2, 63)
+
+
+# Each call with one size, count or length argument given through k.
+SIZED_CALLS = {
+    "build_code-N": lambda k: build_code(Pmf([0.3, 0.7]), k(4), 4),
+    "build_code-m": lambda k: build_code(Pmf([0.3, 0.7]), 4, k(2)),
+    "build_tunstall": lambda k: build_tunstall(Pmf([0.3, 0.7]), k(4)),
+    "build_block_code-n": lambda k: build_block_code(Pmf([0.3, 0.7]), k(2), 4),
+    "build_block_code-m": lambda k: build_block_code(Pmf([0.3, 0.7]), 2, k(4)),
+    "is_valid_size-D": lambda k: is_valid_size(k(2), 4),
+    "is_valid_size-N": lambda k: is_valid_size(2, k(4)),
+    "round_size_down-D": lambda k: round_size_down(k(2), 4),
+    "round_size_down-N": lambda k: round_size_down(2, k(4)),
+    "quantize": lambda k: quantize([0.5, 0.5], k(2)),
+    "TypedPmf": lambda k: TypedPmf(k(2), [1, 1]),
+    "product_codebook-D": lambda k: product_codebook(k(2), 2),
+    "product_codebook-n": lambda k: product_codebook(2, k(2)),
+    "validate_complete": lambda k: validate_complete(
+        Codebook(k(2), np.array([[0], [1]], dtype=np.uint8), np.array([1, 1]))),
+    "generate_stream": lambda k: generate_stream(build_code(Pmf([0.3, 0.7]), 4, 4), RandomBitSource(1), k(2)),
+}
+
+
+@pytest.mark.parametrize("call", SIZED_CALLS.values(), ids=SIZED_CALLS.keys())
+def test_sizes_are_integers_not_truncated(call):
+    call(np.int64)  # numpy integers pass
+    with pytest.raises(TypeError):
+        call(lambda v: v + 0.5)  # int() would have truncated it
 
 
 class TestEncodeWord:
