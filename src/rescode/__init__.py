@@ -42,7 +42,6 @@ from .metrics import (
     bound_suite,
     convergence_probe,
     rate_report,
-    sqrt_gap_policy,
 )
 
 __version__ = "0.1.0"

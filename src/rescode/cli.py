@@ -56,8 +56,6 @@ def _format_row(r: metrics.RateReport) -> str:
 @contextlib.contextmanager
 def _atomic_write(path: str):
     """A binary handle on a new file beside path (umask mode), renamed over path on success."""
-    if os.path.isdir(path) or path.endswith(os.sep):  # before the temporary file, so nothing is written
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".rescode-{os.urandom(6).hex()}")
     try:
         handle = open(tmp, "xb")
@@ -70,18 +68,6 @@ def _atomic_write(path: str):
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _reachable_size(d: int, size: int, round_size: bool) -> int:
-    """The requested codebook size, or with round_size the largest valid one below it."""
-    if size > tunstall.MAX_LEAVES:
-        raise ValueError(f"codebook size {size} is above the cap {tunstall.MAX_LEAVES}")
-    if tunstall.is_valid_size(d, size):
-        return size
-    if d >= 2 and (size < d or not round_size):
-        hint = f"the smallest valid size is {d}" if size < d else "pass --round-size to round down"
-        raise ValueError(f"codebook size {size} is not reachable for alphabet size {d}; {hint}")
-    return tunstall.round_size_down(d, size)
 
 
 def cmd_curve(args) -> int:
@@ -108,7 +94,7 @@ def cmd_curve(args) -> int:
             raise ValueError(f"f2v block lengths (--n-list) must be in [0, {f2v.MAX_INPUT_BITS}]")
         for m in m_values:
             sizes = sorted({2**n for pm, n in pairs if pm == m} | set(args.extra_size or ()))
-            rounded = {_reachable_size(d, size, args.round_size) for size in sizes}
+            rounded = {tunstall.round_size_down(d, size) for size in sizes}
             points += [("f2v", m, size) for size in sorted(rounded)]
     if not points:
         raise ValueError("no codebook sizes requested: give --n-list, --grid-table, or --extra-size")
@@ -128,12 +114,10 @@ def cmd_curve(args) -> int:
 def _code_and_bits(args):
     if not 1 <= args.symbols <= sys.float_info.max:  # the stream schedule divides it as a float
         raise ValueError(f"--symbols must be in [1, {sys.float_info.max!r}]")
-    code = f2v.build_code(args.p, _reachable_size(args.p.alphabet_size, args.size, args.round_size), args.m)
-    if args.bits_file:
-        return code, f2v.FileBitSource(args.bits_file)
-    if args.seed is None:
+    if not args.bits_file and args.seed is None:
         raise ValueError("--seed is required when no --bits-file is given")
-    return code, f2v.RandomBitSource(args.seed)
+    source = f2v.FileBitSource(args.bits_file) if args.bits_file else f2v.RandomBitSource(args.seed)
+    return f2v.build_code(args.p, args.size, args.m), source
 
 
 def _text_lines(symbols: np.ndarray) -> bytes:
@@ -219,12 +203,17 @@ def _add_generation_flags(sub) -> None:
     sub.add_argument("--symbols", type=int, required=True, help="minimum output symbol count")
     sub.add_argument("--seed", type=int, default=None, help="bit source seed (PCG64)")
     sub.add_argument("--bits-file", default=None, help="raw byte file served MSB-first instead of a seeded source")
-    sub.add_argument("--round-size", action="store_true", help="round --size down to the nearest valid codebook size")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise ValueError, so main prints them as one error line like every usage error."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rescode", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="rescode", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
 
     curve = subs.add_parser("curve", help="sweep grid points and emit CSV rows")
@@ -237,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--extra-size", type=int, action="append",
                        help="additional f2v codebook size, paired with every m; repeatable")
     curve.add_argument("--out", default=None, help="CSV path (default stdout); written atomically")
-    curve.add_argument("--round-size", action="store_true")
     curve.set_defaults(func=cmd_curve)
 
     gen = subs.add_parser("generate", help="stream symbols from the code")
@@ -259,8 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        out = getattr(args, "out", None)
+        if out and (os.path.isdir(out) or out.endswith(os.sep)):  # before any code is built or file written
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

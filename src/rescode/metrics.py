@@ -129,19 +129,13 @@ def bound_suite(code: ResolutionCode) -> list[BoundCheck]:
     return checks
 
 
-def sqrt_gap_policy(m: int) -> int:
-    """Codebook size 2^(m - ceil(sqrt(m))): excess bits grow, but sublinearly."""
-    gap = math.isqrt(m)
-    if gap * gap < m:
-        gap += 1
-    return 1 << max(1, m - gap)
-
-
 def convergence_probe(p: Pmf, m_list) -> list[RateReport]:
     """Reports along the sqrt-gap schedule; interpretation is the caller's.
 
-    Each size is sqrt_gap_policy(m) rounded down to a valid size (at least D)
-    for p, so the excess bits grow sublinearly: the divergence trends to zero.
+    Each size is 2^(m - ceil(sqrt(m))) rounded down to a valid size (at least
+    D) for p, so the excess bits grow sublinearly: the divergence trends to zero.
     """
     d = p.alphabet_size
-    return [rate_report(build_code(p, round_size_down(d, max(d, sqrt_gap_policy(m))), m)) for m in m_list]
+    # ceil(sqrt(m)) = 1 + isqrt(m - 1) for m >= 1
+    return [rate_report(build_code(p, round_size_down(d, max(d, 1 << (m - 1 - math.isqrt(m - 1)))), m))
+            for m in m_list]

@@ -15,7 +15,7 @@ import numpy as np
 from .codetree import Codebook, LeafDistribution, validate_complete
 from .probdist import Pmf, _frozen
 
-# Largest codebook build_tunstall accepts, checked before anything is built.
+# Largest codebook size round_size_down and build_tunstall accept, checked before anything is built.
 MAX_LEAVES = 1 << 24
 
 
@@ -26,12 +26,14 @@ def is_valid_size(alphabet_size: int, num_codewords: int) -> bool:
 
 
 def round_size_down(alphabet_size: int, num_codewords: int) -> int:
-    """Largest valid codebook size not exceeding num_codewords."""
+    """Largest valid codebook size not exceeding num_codewords, which may not exceed MAX_LEAVES."""
     d, n = operator.index(alphabet_size), operator.index(num_codewords)
+    if n > MAX_LEAVES:
+        raise ValueError(f"codebook size {n} is above the cap {MAX_LEAVES}")
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
     if n < d:
-        raise ValueError(f"no valid codebook size <= {n} for alphabet size {d}")
+        raise ValueError(f"invalid codebook size {n} for alphabet size {d}: the smallest valid size is {d}")
     return d + ((n - d) // (d - 1)) * (d - 1)
 
 
@@ -44,18 +46,16 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
     construction is deterministic.  Paths with the same count of each
     symbol have the same exact probability, but their products can round
     a few ulps apart; that rounding, not the path, then decides which is
-    split first.  Sizes must satisfy N = D + k(D-1); others are rejected.
+    split first.  Sizes must satisfy N = D + k(D-1) <= MAX_LEAVES; others
+    are rejected, naming the cap or the nearest valid size.
     """
     d = p.alphabet_size
     n = operator.index(num_codewords)
-    if n > MAX_LEAVES:
-        raise ValueError(f"codebook size {n} is above the cap {MAX_LEAVES}")
-    if d < 2:
-        raise ValueError("alphabet size must be at least 2")
+    if (largest := round_size_down(d, n)) != n:
+        raise ValueError(f"invalid codebook size {n}: must be {d} + k*({d - 1}) for some k >= 0; "
+                         f"the largest below it is {largest}")
     if not p.has_full_support():
         raise ValueError("branching distribution must have full support")
-    if not is_valid_size(d, n):
-        raise ValueError(f"invalid codebook size {n}: must be {d} + k*({d - 1}) for some k >= 0")
 
     # The greedy split takes nodes in increasing (-prob, path) order, so its k
     # internal nodes are the k smallest keys of the tree.  Each is at least as

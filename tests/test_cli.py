@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rescode
-from rescode import (Pmf, RandomBitSource, build_block_code, build_code, cli, codetree, f2v, generate_stream,
-                     rate_report, tunstall)
+from rescode import (Pmf, RandomBitSource, block, build_block_code, build_code, cli, codetree, f2v,
+                     generate_stream, rate_report, tunstall)
 from references import digit_lines, interval_map, pack_chunks, pack_symbols, paths, served_bits
 
 
@@ -82,7 +82,7 @@ class TestCurve:
 
     def test_sizes_that_round_alike_give_one_row(self, capsys):
         code, out, _ = run(capsys, ["curve", "--p", "0.5,0.3,0.2", "--m", "10", "--n-list", "5",
-                                    "--extra-size", "31", "--round-size", "--schemes", "f2v"])
+                                    "--extra-size", "31", "--schemes", "f2v"])
         assert code == 0
         assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [["f2v", "10", "31"]]
 
@@ -95,7 +95,7 @@ class TestCurve:
     def test_rows_use_p_as_parsed(self, capsys):
         # Pmf renormalizes this p to a vector that a second Pmf would move again
         text = "0.46335848984461653,0.3373961461805628,0.1992453639748208"
-        code, out, _ = run(capsys, ["curve", "--p", text, "--m", "10", "--n-list", "5,6", "--round-size"])
+        code, out, _ = run(capsys, ["curve", "--p", text, "--m", "10", "--n-list", "5,6"])
         assert code == 0
         p = Pmf([float(t) for t in text.split(",")])
         codes = [build_block_code(p, 5, 10), build_block_code(p, 6, 10), build_code(p, 31, 10), build_code(p, 63, 10)]
@@ -112,17 +112,11 @@ class TestCurve:
             cli.main(["curve", "--p", "0.5,0.5", "--m", "4"])
         assert exc.value.code == 2
 
-    def test_invalid_size_needs_round_flag(self, capsys, tmp_path):
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["curve", "--p", "0.4,0.3,0.3", "--m", "4", "--n-list", "2",
-                      "--out", str(out)])
-        assert exc.value.code == 2
-        assert not out.exists()  # atomic: nothing partial on failure
-        code, _, _ = run(capsys, ["curve", "--p", "0.4,0.3,0.3", "--m", "4", "--n-list", "2",
-                                  "--schemes", "f2v", "--round-size", "--out", str(out)])
+    def test_sizes_round_down_to_a_valid_size(self, capsys):
+        # 2^2 = 4 leaves no ternary tree has: the row is the largest valid size below it
+        code, out, _ = run(capsys, ["curve", "--p", "0.4,0.3,0.3", "--m", "4", "--n-list", "2", "--schemes", "f2v"])
         assert code == 0
-        assert out.exists()
+        assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [["f2v", "4", "3"]]
 
 
 class TestGenerate:
@@ -346,7 +340,7 @@ class TestUsageErrors:
         ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--schemes", "f2v,x2y"],
         ["curve", "--p", "0.5,0.5", "--m", "4"],
         ["curve", "--p", "0.211,0.789", "--m", "12", "--extra-size", "3072", "--schemes", "b2b"],
-        ["curve", "--p", "0.4,0.3,0.3", "--m", "4", "--n-list", "2"],
+        ["generate", "--p", "0.4,0.3,0.3", "--m", "4", "--size", "4", "--symbols", "4", "--seed", "1"],
         ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "0", "--seed", "1"],
         GEN,
         ["generate", "--p", ",".join([repr(1 / 12)] * 12), "--m", "6", "--size", "12", "--symbols", "21",
@@ -359,9 +353,14 @@ class TestUsageErrors:
         ["validate", *HUGE],
         VAL + ["--tv-threshold", "nan"],
         VAL + ["--tv-threshold", "-1"],
+        ["curve", "--p", "0.2,x", "--m", "4", "--n-list", "2"],
+        ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", ""],
+        ["curve", "--p", "0.5,0.5", "--m", "x", "--n-list", "2"],
+        ["curve", "--m", "4", "--n-list", "2"],
     ], ids=["unknown-scheme", "no-sizes", "b2b-extra-size-only", "unreachable-size", "no-symbols", "no-seed", "text-above-ten",
             "bad-q", "m-70", "missing-bits-file", "unwritable-out", "symbols-beyond-float", "validate-symbols-beyond-float",
-            "tv-threshold-nan", "tv-threshold-negative"])
+            "tv-threshold-nan", "tv-threshold-negative", "p-not-a-number", "empty-n-list", "m-not-an-integer",
+            "missing-p"])
     def test_one_error_line_and_exit_2(self, capsys, tmp_path, argv):
         missing = str(tmp_path / "no-such-dir" / "x")
         with pytest.raises(SystemExit) as exc:
@@ -371,27 +370,31 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("round_size", [False, True])
     @pytest.mark.parametrize("argv", [
         ["generate", "--p", "1.0", "--m", "4", "--size", "4", "--symbols", "10", "--seed", "1"],
         ["curve", "--p", "1.0", "--m", "4", "--n-list", "2", "--schemes", "f2v"],
     ], ids=["generate", "curve"])
-    def test_single_symbol_alphabet(self, capsys, argv, round_size):
-        assert exit_code(argv + ["--round-size"] * round_size) == 2
+    def test_single_symbol_alphabet(self, capsys, argv):
+        assert exit_code(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "alphabet size must be at least 2" in err
-        assert "--round-size" not in err
 
-    @pytest.mark.parametrize("round_size", [False, True])
     @pytest.mark.parametrize("argv, d", [
         (["curve", "--p", "0.2,0.8", "--m", "12", "--n-list", "0", "--schemes", "f2v"], 2),
         (["generate", "--p", "0.2,0.3,0.5", "--m", "8", "--size", "2", "--symbols", "10", "--seed", "1"], 3),
     ], ids=["curve", "generate"])
-    def test_size_below_the_alphabet_names_the_smallest_size(self, capsys, argv, d, round_size):
-        assert exit_code(argv + ["--round-size"] * round_size) == 2
+    def test_size_below_the_alphabet_names_the_smallest_size(self, capsys, argv, d):
+        assert exit_code(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"the smallest valid size is {d}" in err
-        assert "--round-size" not in err
+
+    def test_invalid_size_names_the_largest_below(self, capsys, tmp_path):
+        out = tmp_path / "never.txt"
+        assert exit_code(["generate", "--p", "0.4,0.3,0.3", "--m", "14", "--size", "4096", "--symbols", "4",
+                          "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: invalid codebook size 4096: must be 3 + k*(2) for some k >= 0; "
+                                           "the largest below it is 4095\n")
+        assert not out.exists()  # atomic: nothing partial on failure
 
     @pytest.mark.parametrize("p, n", [("0.2,0.8", 20000), ("0.3,0.3,0.4", 100_000_000)])
     def test_product_cap_is_checked_without_the_power(self, capsys, p, n):
@@ -409,13 +412,11 @@ class TestUsageErrors:
         (["curve", "--p", "0.3,0.7", "--m", "12", "--n-list", "-1", "--schemes", "f2v"], N_RANGE),
         (["generate", "--p", "0.3,0.7", "--m", "12", "--size", str(10**20), "--symbols", "10", "--seed", "1"], N_CAP),
         (["generate", "--p", "0.3,0.7", "--m", "40", "--size", str(2**40), "--symbols", "10", "--seed", "1"], N_CAP),
-        # a size no ternary tree reaches: the cap, with the size as requested, comes before the rounding hint
+        # a size no ternary tree reaches: the cap, with the size as requested, comes before the largest valid size
         (["generate", "--p", "0.3,0.3,0.4", "--m", "12", "--size", str(10**20), "--symbols", "10", "--seed", "1"],
          f"codebook size {10**20} is {N_CAP}"),
-        (["generate", "--p", "0.3,0.3,0.4", "--m", "12", "--size", str(10**20), "--symbols", "10", "--seed", "1",
-          "--round-size"], f"codebook size {10**20} is {N_CAP}"),
     ], ids=["curve-n-2000", "curve-n-100000", "curve-n-negative", "generate-1e20", "generate-2^40",
-            "generate-ternary-1e20", "generate-ternary-1e20-round-size"])
+            "generate-ternary-1e20"])
     def test_sizes_are_capped_before_any_build(self, capsys, argv, names):
         start = time.perf_counter()
         assert exit_code(argv) == 2
@@ -444,14 +445,25 @@ class TestUsageErrors:
     ], ids=["generate", "curve"])
     def test_out_naming_a_directory(self, capsys, monkeypatch, tmp_path, argv, slash):
         def refuse(*args):
-            raise AssertionError("symbols were generated")
+            raise AssertionError("a code was built or symbols were generated")
 
-        monkeypatch.setattr(f2v, "stream", refuse)
+        for module, name in ((f2v, "build_code"), (block, "build_block_code"), (f2v, "stream")):
+            monkeypatch.setattr(module, name, refuse)
         target = tmp_path / "dir"
         target.mkdir()
         assert exit_code(argv + ["--out", f"{target}{slash}"]) == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(target) + slash!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any(target.iterdir())
+
+    @pytest.mark.parametrize("source", [[], ["--bits-file", "{tmp}/missing"]], ids=["no-seed", "missing-bits-file"])
+    def test_bit_source_is_checked_before_the_build(self, capsys, monkeypatch, tmp_path, source):
+        def refuse(*args):
+            raise AssertionError("a code was built")
+
+        monkeypatch.setattr(f2v, "build_code", refuse)
+        argv = ["generate", "--p", "0.211,0.789", "--m", "30", "--size", "1048576", "--symbols", "10", *source]
+        assert exit_code([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestQuantizeCommand:
@@ -504,7 +516,7 @@ TOO_BIG = "probabilities must be finite and in [0, 1 + 1e-09]"
 
 @pytest.mark.parametrize("argv, error_line", [
     (["quantize", "--q", "1e308,1e308", "--M", "4"], f"error: {TOO_BIG}"),
-    (["curve", "--p", "1e308,1e308", "--m", "4", "--n-list", "2"], f"rescode curve: error: argument --p: {TOO_BIG}"),
+    (["curve", "--p", "1e308,1e308", "--m", "4", "--n-list", "2"], f"error: argument --p: {TOO_BIG}"),
 ], ids=["q", "p"])
 def test_huge_probabilities_fail_without_a_warning(argv, error_line):
     # the entries' sum overflows, so they are rejected before it is taken
@@ -512,8 +524,7 @@ def test_huge_probabilities_fail_without_a_warning(argv, error_line):
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-m", "rescode.cli", *argv], env=env, capture_output=True, text=True)
     assert result.returncode == 2
-    # stderr holds the one error line, after argparse's usage lines for --p
-    assert [line for line in result.stderr.splitlines() if not line.startswith(("usage: ", " "))] == [error_line]
+    assert result.stderr == error_line + "\n"
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -14,7 +14,6 @@ from rescode import (
     entropy,
     is_valid_size,
     rate_report,
-    sqrt_gap_policy,
 )
 
 
@@ -112,12 +111,6 @@ class TestRandomizedBounds:
 
 
 class TestConvergenceProbe:
-    def test_policy_values(self):
-        assert sqrt_gap_policy(8) == 2**5
-        assert sqrt_gap_policy(12) == 2**8
-        assert sqrt_gap_policy(16) == 2**12
-        assert sqrt_gap_policy(20) == 2**15
-
     def test_binary_sizes_are_the_policy(self):
         reports = convergence_probe(Pmf([0.211, 0.789]), [8, 12, 16, 20])
         assert [r.num_codewords for r in reports] == [2**5, 2**8, 2**12, 2**15]

@@ -46,7 +46,7 @@ class TestBuild:
         assert paths(ld.codebook) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the largest below it is 3$"):
             build_tunstall(Pmf([0.4, 0.3, 0.3]), 4)
 
     def test_zero_support_rejected(self):
@@ -62,6 +62,9 @@ class TestBuild:
         assert not is_valid_size(1, 4)
         with pytest.raises(ValueError, match="at least 2"):
             round_size_down(1, 4)
+        assert round_size_down(3, tunstall.MAX_LEAVES) == tunstall.MAX_LEAVES - 1
+        with pytest.raises(ValueError, match=f"codebook size {tunstall.MAX_LEAVES + 1} is above the cap"):
+            round_size_down(3, tunstall.MAX_LEAVES + 1)
 
     def test_deterministic_rebuild(self):
         p = Pmf([0.211, 0.789])
