@@ -370,23 +370,29 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("argv", [
         ["generate", "--p", "1.0", "--m", "4", "--size", "4", "--symbols", "10", "--seed", "1"],
         ["curve", "--p", "1.0", "--m", "4", "--n-list", "2", "--schemes", "f2v"],
     ], ids=["generate", "curve"])
-    def test_single_symbol_alphabet(self, capsys, argv):
-        assert exit_code(argv) == 2
+    def test_single_symbol_alphabet(self, capsys, tmp_path, argv, to_file):
+        out = tmp_path / "never.txt"
+        assert exit_code(argv + ["--out", str(out)] * to_file) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "alphabet size must be at least 2" in err
+        assert not out.exists()
 
+    @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("argv, d", [
         (["curve", "--p", "0.2,0.8", "--m", "12", "--n-list", "0", "--schemes", "f2v"], 2),
         (["generate", "--p", "0.2,0.3,0.5", "--m", "8", "--size", "2", "--symbols", "10", "--seed", "1"], 3),
     ], ids=["curve", "generate"])
-    def test_size_below_the_alphabet_names_the_smallest_size(self, capsys, argv, d):
-        assert exit_code(argv) == 2
+    def test_size_below_the_alphabet_names_the_smallest_size(self, capsys, tmp_path, argv, d, to_file):
+        out = tmp_path / "never.txt"
+        assert exit_code(argv + ["--out", str(out)] * to_file) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"the smallest valid size is {d}" in err
+        assert not out.exists()
 
     def test_invalid_size_names_the_largest_below(self, capsys, tmp_path):
         out = tmp_path / "never.txt"
