@@ -22,7 +22,7 @@ from .codetree import (
     product_codebook,
     validate_complete,
 )
-from .tunstall import build_tunstall, is_valid_size, round_size_down
+from .tunstall import build_tunstall, round_size_down
 from .mtype import quantize
 from .f2v import (
     ArrayBitSource,

@@ -252,6 +252,8 @@ def main(argv=None) -> int:
         out = getattr(args, "out", None)
         if out and (os.path.isdir(out) or out.endswith(os.sep)):  # before any code is built or file written
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        if out and not os.path.exists(os.path.dirname(os.path.abspath(out))):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,13 @@ the stable form of (c+1)ln(c+1) - c ln c - ln(M q_a), which cancels above
 about c = 1e9.  Three steps find the greedy's units, the M cheapest in
 (cost, symbol) order, at a cost that does not grow with M: a threshold
 start (a bisected Lagrange threshold, and in numpy each value's number of
-units below it), an exact boundary check (costs within a few ulps of the
-threshold are recomputed with ``math.log``) and a heap finish (the greedy
-loop hands out the rest to the atoms that can still take a unit).
+units below it, clipped to the cap in int64 so that it stays exact above
+M q = 2^53), an exact boundary check (costs within a few ulps of the
+threshold are recomputed with ``math.log``) and a finish by value classes.
+Atoms of one value share their unit costs, so the rest go out in (running
+max of the value's costs, atom, level) order: whole runs of equal cost go
+to every atom of their values at once, and only the last group, cut short,
+is handed out atom by atom.
 """
 
 from __future__ import annotations
@@ -58,35 +62,55 @@ def quantize(q, m_units: int) -> TypedPmf:
         Unit k costs at most 1 + ln(k - 1/2) - ln(M q_a), and more than that bound for unit k - 1.
         Above about 1e12 units consecutive costs differ by less than their rounding: numpy's count stands.
         """
-        k = np.clip(np.ceil(np.exp(np.minimum(lam - 1 + log_mq, 50)) - 0.5), 0, cap).astype(np.int64)
+        k = np.clip(np.ceil(np.exp(np.minimum(lam - 1 + log_mq, 50)) - 0.5), 0, 2.0**62).astype(np.int64)
+        k = np.minimum(k, cap)  # in int64: above 2^53 the float cap can round past floor(M q) + 1
         last, nxt = (_unit_cost(c, log_mq, np.log, np.log1p) for c in (np.maximum(k - 1, 0), k))
         near = (np.abs(last - lam) <= tol) | (np.abs(nxt - lam) <= tol)
         for i in np.flatnonzero(near & (k * tol < 0.1)).tolist():
             last[i], nxt[i] = (_unit_cost(c, float(log_mq[i])) for c in (max(int(k[i]) - 1, 0), int(k[i])))
         return k - ((k > 0) & (last >= lam)) + ((k < cap) & (nxt < lam))
 
-    # Every unit below lo is the greedy's; bisect until at most 64 units, or one level of one value, lie in [lo, hi).
+    # Every unit below lo is the greedy's; bisect until at most 64 (value, level) pairs lie in [lo, hi).  While
+    # a band value's count is numpy's (k * tol >= 0.1), where the count hangs on the stop, go on until at most
+    # 64 units or one level of one value do.
     lo, hi = -log_mq.max() - 1.0, max(-log_mq.min(), 0.0) + 2.0
     k_lo, k_hi = np.zeros_like(cap), cap
-    while size @ (k_hi - k_lo) > 64 and (k_hi - k_lo).sum() > 1 and lo < (mid := 0.5 * (lo + hi)) < hi:
+    while ((band := k_hi - k_lo).sum() > 64 or band.sum() > 1 and size @ band > 64
+           and (k_hi[band > 0] * tol >= 0.1).any()) and lo < (mid := 0.5 * (lo + hi)) < hi:
         k = below(mid)
         if size @ k <= m:
             lo, k_lo = mid, k
         if size @ k >= m:
             hi, k_hi = mid, k
-    # The heap hands out the rest, with one (cost of the next unit, atom) entry per atom that has
-    # units below hi, so equal costs pop in index order.
-    counts, caps, logs = k_lo[cls].tolist(), cap[cls].tolist(), log_mq[cls].tolist()
-    heap = [(_unit_cost(counts[a], logs[a]), a) for a in np.flatnonzero(k_hi[cls] > k_lo[cls]).tolist()]
+    # The greedy hands out the other r units in (running max of the value's unit costs from k_lo, atom,
+    # level) order.  A heap over the band's values pops each cost's group of runs: whole groups go out in
+    # bulk, and the one that holds more than r units goes in (atom, level) order.
+    r = m - int(size @ k_lo)
+    counts, caps, logs, sizes = k_lo.tolist(), cap.tolist(), log_mq.tolist(), size.tolist()
+    heap = [(_unit_cost(counts[v], logs[v]), v) for v in np.flatnonzero(band).tolist()]
     heapq.heapify(heap)
-    for _ in range(m - int(size @ k_lo)):
-        a = heap[0][1]
-        c = counts[a] + 1
-        counts[a] = c
-        if c < caps[a]:
-            heapq.heapreplace(heap, (_unit_cost(c, logs[a]), a))
+    extra = 0
+    while r:
+        cost, run = heap[0][0], {}
+        while heap and heap[0][0] == cost:
+            v = heapq.heappop(heap)[1]
+            c = counts[v] + 1
+            while c < caps[v] and c - counts[v] < r:  # a run of r levels already holds the rest
+                if (nxt := _unit_cost(c, logs[v])) > cost:
+                    heapq.heappush(heap, (nxt, v))
+                    break
+                c += 1
+            run[v] = c - counts[v]
+        if (units := sum(sizes[v] * n for v, n in run.items())) <= r:
+            for v, n in run.items():
+                counts[v] += n
+            r -= units
         else:
-            heapq.heappop(heap)
+            levels = np.zeros_like(cap)
+            levels[list(run)] = list(run.values())
+            levels = levels[cls]
+            extra = np.clip(r - (np.cumsum(levels) - levels), 0, levels)
+            r = 0
     out = np.zeros(mq.size, dtype=np.int64)
-    out[support] = counts
+    out[support] = np.array(counts)[cls] + extra
     return TypedPmf(m, out)

@@ -19,12 +19,6 @@ from .probdist import Pmf, _frozen
 MAX_LEAVES = 1 << 24
 
 
-def is_valid_size(alphabet_size: int, num_codewords: int) -> bool:
-    """True when a D-ary Tunstall tree with exactly this many leaves exists."""
-    d, n = operator.index(alphabet_size), operator.index(num_codewords)
-    return d >= 2 and n >= d and (n - d) % (d - 1) == 0
-
-
 def round_size_down(alphabet_size: int, num_codewords: int) -> int:
     """Largest valid codebook size not exceeding num_codewords, which may not exceed MAX_LEAVES."""
     d, n = operator.index(alphabet_size), operator.index(num_codewords)

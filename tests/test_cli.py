@@ -107,6 +107,12 @@ class TestCurve:
             assert [float(v) for v in row[3:]] == [r.n_bits, r.q_bits, r.rate, r.entropy_rate, r.hv_rate,
                                                    r.kl, r.kl_bound, r.exp_len]
 
+    def test_b2b_row_at_m_56(self, capsys):
+        # M q passes 2^53 here: a count clipped to its cap in float64 rounded above it and ran the finish dry
+        code, out, _ = run(capsys, ["curve", "--p", "0.211,0.789", "--m", "56", "--n-list", "3", "--schemes", "b2b"])
+        assert code == 0
+        assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [["b2b", "56", "8"]]
+
     def test_usage_error_without_sizes(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["curve", "--p", "0.5,0.5", "--m", "4"])
@@ -435,8 +441,14 @@ class TestUsageErrors:
         ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--seed", "1",
          "--out", "{missing}"],
         ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--out", "{missing}"],
-    ], ids=["bits-file", "generate-out", "curve-out"])
-    def test_bad_path(self, capsys, tmp_path, argv):
+        ["validate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--bits-file", "{missing}"],
+    ], ids=["bits-file", "generate-out", "curve-out", "validate-bits-file"])
+    def test_bad_path(self, capsys, monkeypatch, tmp_path, argv):
+        def refuse(*args):
+            raise AssertionError("a code was built")
+
+        for module, name in ((f2v, "build_code"), (block, "build_block_code")):
+            monkeypatch.setattr(module, name, refuse)
         missing = str(tmp_path / "no-such-dir" / "x")
         assert exit_code([arg.format(missing=missing) for arg in argv]) == 2
         err = capsys.readouterr().err

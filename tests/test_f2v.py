@@ -22,7 +22,6 @@ from rescode import (
     entropy,
     f2v,
     generate_stream,
-    is_valid_size,
     product_codebook,
     quantize,
     round_size_down,
@@ -76,8 +75,6 @@ SIZED_CALLS = {
     "build_tunstall": lambda k: build_tunstall(Pmf([0.3, 0.7]), k(4)),
     "build_block_code-n": lambda k: build_block_code(Pmf([0.3, 0.7]), k(2), 4),
     "build_block_code-m": lambda k: build_block_code(Pmf([0.3, 0.7]), 2, k(4)),
-    "is_valid_size-D": lambda k: is_valid_size(k(2), 4),
-    "is_valid_size-N": lambda k: is_valid_size(2, k(4)),
     "round_size_down-D": lambda k: round_size_down(k(2), 4),
     "round_size_down-N": lambda k: round_size_down(2, k(4)),
     "quantize": lambda k: quantize([0.5, 0.5], k(2)),

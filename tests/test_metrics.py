@@ -12,8 +12,8 @@ from rescode import (
     build_code,
     convergence_probe,
     entropy,
-    is_valid_size,
     rate_report,
+    round_size_down,
 )
 
 
@@ -126,7 +126,7 @@ class TestConvergenceProbe:
         p = Pmf(np.array(weights) / sum(weights))
         (r,) = convergence_probe(p, [m])
         assert r.m == m
-        assert is_valid_size(p.alphabet_size, r.num_codewords)
+        assert round_size_down(p.alphabet_size, r.num_codewords) == r.num_codewords
         assert r.q_bits >= math.ceil(math.sqrt(m))
 
     def test_uniform_is_exact_along_schedule(self):

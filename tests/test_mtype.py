@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,76 @@ class TestAgainstHeapOracle:
         # the sweep's m = 18 b2b point: 2^16 leaves with 17 distinct probabilities in exact arithmetic
         leaf_probs = leaf_distribution(Pmf([0.211, 0.789]), product_codebook(2, 16)).leaf_probs
         assert np.array_equal(quantize(leaf_probs, 1 << 18).counts, heap_quantize(leaf_probs, 1 << 18).counts)
+
+
+class TestTiesAcrossValues:
+    """Unit 1 of an atom with mass q and unit 2 of one with 4q both cost -ln(M q): one group spans two values.
+
+    With more than 64 atoms to each value, the finish cuts such a group in (atom, level) order.
+    """
+
+    @pytest.mark.parametrize("exps,mults,m", [
+        ((7, 9), (65, 252), 219), ((7, 9), (100, 112), 256), ((8, 10), (65, 764), 269), ((8, 10), (80, 704), 384),
+    ])
+    def test_same_counts(self, exps, mults, m):
+        q = np.random.default_rng(m).permutation(np.repeat(np.exp2(np.negative(exps)), mults))
+        assert q.sum() == 1.0
+        assert np.array_equal(quantize(q, m).counts, heap_quantize(q, m).counts)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(5, 10), st.integers(65, 300)), min_size=1, max_size=3),
+           st.integers(128, 1024), st.randoms(use_true_random=False))
+    def test_same_counts_on_dyadic_values(self, classes, m, rnd):
+        # each value 2^-e on its multiplicity's atoms, and 2^-11 on the atoms that fill the sum to one;
+        # at these M about one draw in eight cuts a group that spans two values
+        q = [2.0**-e for e, mult in classes for _ in range(mult)]
+        q += [2.0**-11] * max(0, (2048 - round(sum(q) * 2048)))
+        rnd.shuffle(q)
+        q = np.asarray(q) / sum(q)
+        assert np.array_equal(quantize(q, m).counts, heap_quantize(q, m).counts)
+
+
+def digest_targets(count=3000):
+    """Seeded (q, M): Dirichlet draws, values on up to 2000 atoms each, zeros, one dominant atom; M in [1, 2^52]."""
+    rng = np.random.default_rng(1306)
+    for i in range(count):
+        k = int(rng.integers(1, 13))
+        if i % 4 == 0:
+            q = rng.dirichlet(np.ones(k))
+        elif i % 4 == 1:
+            mult = rng.integers(1, 2001, k)
+            q = rng.permutation(np.repeat(rng.dirichlet(np.ones(k)) / mult, mult))
+        elif i % 4 == 2:
+            q = rng.permutation(np.concatenate((rng.dirichlet(np.ones(k)), np.zeros(k))))
+        else:
+            q = np.concatenate(([1.0], rng.uniform(1e-12, 1e-4, k)))
+        yield q / q.sum(), int(rng.integers(1, (1 << int(rng.integers(1, 53))) + 1))
+
+
+def test_counts_digest():
+    """The counts of 3000 seeded instances hash as those of the per-atom heap finish this quantizer replaced."""
+    digest = hashlib.sha256()
+    for q, m in digest_targets():
+        digest.update(quantize(q, m).counts.tobytes())
+    assert digest.hexdigest() == "ea196ab8fd30c60c83e3be864959090cfbf73eb87a8d539aacb733aab4b71629"
+
+
+def test_caps_hold_above_2_53():
+    """Past M q = 2^53 the count is clipped to floor(M q) + 1 in integers; a float clip rounded it past the cap."""
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(400):
+        q = rng.dirichlet(np.ones(int(rng.integers(2, 8))))
+        m = int(rng.integers(1 << 53, (1 << 62) + 1))
+        try:
+            t = quantize(q, m)
+        except ValueError as exc:  # M q rounds below M by more than the caps' slack
+            assert "too far from 1" in str(exc)
+            continue
+        checked += 1
+        assert int(t.counts.sum()) == m
+        assert np.all(t.counts <= np.floor(m * q).astype(np.int64) + 1)
+    assert checked >= 150
 
 
 class RoughNumpy:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rescode import (
     Pmf,
     build_tunstall,
-    is_valid_size,
     leaf_distribution,
     round_size_down,
     tunstall,
@@ -54,12 +53,11 @@ class TestBuild:
             build_tunstall(Pmf([0.8, 0.2, 0.0]), 5)
 
     def test_size_helpers(self):
-        assert is_valid_size(2, 3072)
-        assert is_valid_size(3, 5)
-        assert not is_valid_size(3, 4)
+        assert round_size_down(2, 3072) == 3072
+        assert round_size_down(3, 5) == 5
+        assert round_size_down(3, 4) == 3
         assert round_size_down(3, 4096) == 4095
         assert round_size_down(2, 17) == 17
-        assert not is_valid_size(1, 4)
         with pytest.raises(ValueError, match="at least 2"):
             round_size_down(1, 4)
         assert round_size_down(3, tunstall.MAX_LEAVES) == tunstall.MAX_LEAVES - 1
