@@ -81,7 +81,7 @@ def cmd_curve(args) -> int:
         if not args.m:
             raise ValueError("either --grid-table or at least one --m is required")
         m_values = sorted(set(args.m))
-        pairs = [(m, n) for m in m_values for n in (args.n_list or ())]
+        pairs = [(m, n) for m in m_values for n in sorted(set(args.n_list or ()))]
     schemes = sorted(set(args.schemes.split(",")))
     for s in schemes:
         if s not in ("f2v", "b2b"):

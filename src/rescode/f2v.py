@@ -262,7 +262,7 @@ def stream(code: ResolutionCode, bits, min_symbols: int):
     of at most STREAM_CHUNK_WORDS words; the symbols do not depend on that size.
     A short chunk, possibly empty, is the last one: the source ran out.
     """
-    total = 0
+    min_symbols, total = operator.index(min_symbols), 0
     while total < min_symbols:
         words = int((min_symbols - total) / code.exp_len) + 1
         for start in range(0, words, STREAM_CHUNK_WORDS):

@@ -15,16 +15,17 @@ about c = 1e9.  Three steps find the greedy's units, the M cheapest in
 start (a bisected Lagrange threshold, and in numpy each value's number of
 units below it, clipped to the cap in int64 so that it stays exact above
 M q = 2^53), an exact boundary check (costs within a few ulps of the
-threshold are recomputed with ``math.log``) and a finish by value classes.
-Atoms of one value share their unit costs, so the rest go out in (running
-max of the value's costs, atom, level) order: whole runs of equal cost go
-to every atom of their values at once, and only the last group, cut short,
-is handed out atom by atom.
+threshold are recomputed with ``math.log``) and a finish by one sorted
+pass.  Atoms of one value share their unit costs, so the rest go out in
+(running max of the value's costs, atom, level) order: the band's levels
+are sorted by that key, every level keyed below the group that holds the
+last unit goes to every atom of its value at once, and only that group,
+cut short, is handed out atom by atom.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 import operator
 
@@ -82,35 +83,24 @@ def quantize(q, m_units: int) -> TypedPmf:
             lo, k_lo = mid, k
         if size @ k >= m:
             hi, k_hi = mid, k
-    # The greedy hands out the other r units in (running max of the value's unit costs from k_lo, atom,
-    # level) order.  A heap over the band's values pops each cost's group of runs: whole groups go out in
-    # bulk, and the one that holds more than r units goes in (atom, level) order.
+    # The greedy hands out the other r units in (running max of the value's unit costs from k_lo, atom, level)
+    # order.  Sorted by that key, the levels before the first group of equal keys that holds more than r units go
+    # out whole, and that group goes in (atom, level) order.  A level at k_hi or above costs at least hi, more
+    # than the greedy's last unit, except where numpy's count stands: there no value takes more than r levels.
     r = m - int(size @ k_lo)
-    counts, caps, logs, sizes = k_lo.tolist(), cap.tolist(), log_mq.tolist(), size.tolist()
-    heap = [(_unit_cost(counts[v], logs[v]), v) for v in np.flatnonzero(band).tolist()]
-    heapq.heapify(heap)
-    extra = 0
-    while r:
-        cost, run = heap[0][0], {}
-        while heap and heap[0][0] == cost:
-            v = heapq.heappop(heap)[1]
-            c = counts[v] + 1
-            while c < caps[v] and c - counts[v] < r:  # a run of r levels already holds the rest
-                if (nxt := _unit_cost(c, logs[v])) > cost:
-                    heapq.heappush(heap, (nxt, v))
-                    break
-                c += 1
-            run[v] = c - counts[v]
-        if (units := sum(sizes[v] * n for v, n in run.items())) <= r:
-            for v, n in run.items():
-                counts[v] += n
-            r -= units
-        else:
-            levels = np.zeros_like(cap)
-            levels[list(run)] = list(run.values())
-            levels = levels[cls]
-            extra = np.clip(r - (np.cumsum(levels) - levels), 0, levels)
-            r = 0
+    ends = np.where(k_hi * tol < 0.1, k_hi, np.minimum(cap, k_lo + r)).tolist()
+    starts, logs = k_lo.tolist(), log_mq.tolist()
+    vals, keys = [], []
+    for v in np.flatnonzero(band).tolist():
+        vals += [v] * (ends[v] - starts[v])
+        keys += itertools.accumulate((_unit_cost(c, logs[v]) for c in range(starts[v], ends[v])), max)
+    order = np.argsort(keys, kind="stable")
+    vals, keys = np.array(vals, dtype=np.intp)[order], np.array(keys)[order]
+    cut = int(np.searchsorted(np.cumsum(size[vals]), r, side="right"))
+    key = keys[cut] if cut < keys.size else np.inf
+    whole = np.bincount(vals[keys < key], minlength=cap.size)
+    levels = np.bincount(vals[keys == key], minlength=cap.size)[cls]
+    extra = np.minimum(np.maximum(r - int(size @ whole) - (np.cumsum(levels) - levels), 0), levels)
     out = np.zeros(mq.size, dtype=np.int64)
-    out[support] = np.array(counts)[cls] + extra
+    out[support] = (k_lo + whole)[cls] + extra
     return TypedPmf(m, out)

@@ -2,8 +2,9 @@
 
 None is used by the library: the Tunstall build and the completeness
 check both work on flat arrays there, min_type_order takes one gcd,
-quantize keeps one heap entry per symbol and replaces it in place (and
-brute_force_quantize enumerates every composition instead), codebooks are
+quantize bisects a cost threshold and sorts only the levels near it
+(heap_quantize pops one unit at a time from a heap with one entry per
+symbol, and brute_force_quantize enumerates every composition), codebooks are
 read through their table and lengths (paths turns them back into tuples,
 flat_codebook turns leaf paths into one), the CLI writes text output as
 one byte array per chunk and packed output straight from codeword

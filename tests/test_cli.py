@@ -86,6 +86,11 @@ class TestCurve:
         assert code == 0
         assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [["f2v", "10", "31"]]
 
+    def test_repeated_n_gives_one_row(self, capsys):
+        code, out, _ = run(capsys, ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "3,3", "--schemes", "f2v,b2b"])
+        assert code == 0
+        assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [["b2b", "4", "8"], ["f2v", "4", "8"]]
+
     def test_round_trip_floats(self, capsys):
         _, out, _ = run(capsys, ["curve", "--p", "0.211,0.789", "--m", "6", "--n-list", "3",
                                  "--schemes", "f2v"])

@@ -84,6 +84,7 @@ SIZED_CALLS = {
     "validate_complete": lambda k: validate_complete(
         Codebook(k(2), np.array([[0], [1]], dtype=np.uint8), np.array([1, 1]))),
     "generate_stream": lambda k: generate_stream(build_code(Pmf([0.3, 0.7]), 4, 4), RandomBitSource(1), k(2)),
+    "stream": lambda k: next(stream(build_code(Pmf([0.3, 0.7]), 4, 4), RandomBitSource(1), k(2))),
 }
 
 

@@ -184,8 +184,11 @@ class TestTiesAcrossValues:
         assert np.array_equal(quantize(q, m).counts, heap_quantize(q, m).counts)
 
 
-def digest_targets(count=3000):
-    """Seeded (q, M): Dirichlet draws, values on up to 2000 atoms each, zeros, one dominant atom; M in [1, 2^52]."""
+def digest_targets(count=3000, m_min=1, bits=(1, 53)):
+    """Seeded (q, M): Dirichlet draws, values on up to 2000 atoms each, zeros, one dominant atom.
+
+    M is drawn from [m_min, 2^e] for e drawn from [bits[0], bits[1]); by default M is in [1, 2^52].
+    """
     rng = np.random.default_rng(1306)
     for i in range(count):
         k = int(rng.integers(1, 13))
@@ -198,7 +201,7 @@ def digest_targets(count=3000):
             q = rng.permutation(np.concatenate((rng.dirichlet(np.ones(k)), np.zeros(k))))
         else:
             q = np.concatenate(([1.0], rng.uniform(1e-12, 1e-4, k)))
-        yield q / q.sum(), int(rng.integers(1, (1 << int(rng.integers(1, 53))) + 1))
+        yield q / q.sum(), int(rng.integers(m_min, (1 << int(rng.integers(*bits))) + 1))
 
 
 def test_counts_digest():
@@ -207,6 +210,19 @@ def test_counts_digest():
     for q, m in digest_targets():
         digest.update(quantize(q, m).counts.tobytes())
     assert digest.hexdigest() == "ea196ab8fd30c60c83e3be864959090cfbf73eb87a8d539aacb733aab4b71629"
+
+
+def test_counts_digest_above_2_52():
+    """The counts of the seeded instances with M in (2^52, 2^62] whose caps cover M, where numpy's counts stand."""
+    digest, hashed = hashlib.sha256(), 0
+    for q, m in digest_targets(400, (1 << 52) + 1, (53, 63)):
+        mq = m * q
+        if int((np.floor(mq[mq > 0]).astype(np.int64) + 1).sum()) < m:  # quantize rejects these today
+            continue
+        hashed += 1
+        digest.update(quantize(q, m).counts.tobytes())
+    assert hashed >= 300  # 338 of the 400
+    assert digest.hexdigest() == "4ff846fa18dfe33bcad3afd8c42dde607524f18d398814039e1515b34ecd78f1"
 
 
 def test_caps_hold_above_2_53():
