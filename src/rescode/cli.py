@@ -54,8 +54,16 @@ def _format_row(r: metrics.RateReport) -> str:
 
 
 @contextlib.contextmanager
-def _atomic_write(path: str):
-    """A binary handle on a new file beside path (umask mode), renamed over path on success."""
+def _open_out(path):
+    """Binary stdout, or a new file beside path (umask mode), renamed over path on success and removed on failure.
+
+    Opened before any work, so a bad path fails first; os.replace would refuse a directory only at the end.
+    """
+    if not path:
+        yield getattr(sys.stdout, "buffer", sys.stdout)  # validate and quantize only print: any stdout will do
+        return
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".rescode-{os.urandom(6).hex()}")
     try:
         handle = open(tmp, "xb")
@@ -70,7 +78,7 @@ def _atomic_write(path: str):
         raise
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args, out) -> int:
     p = args.p
     if args.grid_table and (args.m or args.n_list):
         raise ValueError("--grid-table cannot be combined with --m/--n-list")
@@ -102,12 +110,7 @@ def cmd_curve(args) -> int:
     rows = [_curve_point(*point, p) for point in points]
     rows.sort(key=lambda r: (r.scheme, r.m, r.num_codewords))
 
-    text = CSV_HEADER + "\n" + "".join(_format_row(row) + "\n" for row in rows)
-    if args.out:
-        with _atomic_write(args.out) as handle:
-            handle.write(text.encode())
-    else:
-        sys.stdout.write(text)
+    out.write((CSV_HEADER + "\n" + "".join(_format_row(row) + "\n" for row in rows)).encode())
     return 0
 
 
@@ -131,7 +134,7 @@ def _text_lines(symbols: np.ndarray) -> bytes:
     return rows.reshape(-1)[: symbols.size + lines].tobytes()
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, out) -> int:
     text = args.format == "text"
     if text and args.p.alphabet_size > 10:
         raise ValueError("text output writes one digit per symbol, so it needs at most 10 symbols; "
@@ -140,19 +143,18 @@ def cmd_generate(args) -> int:
     input_bits = output_symbols = 0
     # Text goes out in whole lines of 64 symbols; packed output in whole 64-bit words.
     carry, word, bits = np.empty(0, dtype=code.codebook.table.dtype), 0, 0
-    with _atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout.buffer) as out:
-        for chunk in f2v.stream(code, source, args.symbols):
-            input_bits += chunk.input_bits
-            output_symbols += chunk.output_symbols
-            if text:
-                symbols = np.concatenate((carry, chunk.symbols))
-                whole = symbols.size - symbols.size % 64
-                out.write(_text_lines(symbols[:whole]))
-                carry = symbols[whole:]
-            else:
-                words, word, bits = f2v.pack_codewords(code, chunk.codewords, word, bits)
-                out.write(words.tobytes())
-        out.write(_text_lines(carry) if text else word.to_bytes(8, "big")[: -(-bits // 8)])
+    for chunk in f2v.stream(code, source, args.symbols):
+        input_bits += chunk.input_bits
+        output_symbols += chunk.output_symbols
+        if text:
+            symbols = np.concatenate((carry, chunk.symbols))
+            whole = symbols.size - symbols.size % 64
+            out.write(_text_lines(symbols[:whole]))
+            carry = symbols[whole:]
+        else:
+            words, word, bits = f2v.pack_codewords(code, chunk.codewords, word, bits)
+            out.write(words.tobytes())
+    out.write(_text_lines(carry) if text else word.to_bytes(8, "big")[: -(-bits // 8)])
 
     rate = input_bits / output_symbols if output_symbols else math.nan
     print(f"input_bits={input_bits} output_symbols={output_symbols} empirical_rate={rate!r}", file=sys.stderr)
@@ -162,7 +164,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, _out) -> int:
     if not args.tv_threshold >= 0:
         raise ValueError("--tv-threshold must be a number, at least 0")
     code, source = _code_and_bits(args)
@@ -188,7 +190,7 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_quantize(args) -> int:
+def cmd_quantize(args, _out) -> int:
     q = [float(t) for t in args.q.split(",")]
     result = mtype.quantize(np.asarray(q), args.M)
     print("counts=" + ",".join(str(int(c)) for c in result.counts))
@@ -249,12 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        out = getattr(args, "out", None)
-        if out and (os.path.isdir(out) or out.endswith(os.sep)):  # before any code is built or file written
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-        if out and not os.path.exists(os.path.dirname(os.path.abspath(out))):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-        return args.func(args)
+        with _open_out(getattr(args, "out", None)) as out:
+            return args.func(args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -117,15 +117,18 @@ def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
 class StreamResult:
     """Generated codeword indices into ``codebook`` plus the bookkeeping an empirical check needs.
 
-    ``symbols``, the codewords' symbols end to end, is expanded from the
-    indices when it is first read.
+    ``symbols``, the codewords' symbols end to end, and ``leaf_counts``, how
+    often each codeword was drawn, are computed from the indices when first read.
     """
 
     codebook: Codebook
     codewords: np.ndarray
     input_bits: int
     output_symbols: int
-    leaf_counts: np.ndarray
+
+    @cached_property
+    def leaf_counts(self) -> np.ndarray:
+        return np.bincount(self.codewords, minlength=len(self.codebook))
 
     @cached_property
     def symbols(self) -> np.ndarray:
@@ -221,13 +224,11 @@ def generate_stream(code: ResolutionCode, bits, num_codewords: int) -> StreamRes
     idx = guide[words >> (code.m + 1 - guide.size.bit_length())]
     split = np.flatnonzero(idx == code.num_codewords - 1)  # a bucket that starts in the last codeword ends in it
     idx[split] = np.searchsorted(code.cum, words[split], side="right") - 1
-    counts = np.bincount(idx, minlength=code.num_codewords)
     return StreamResult(
         codebook=code.codebook,
         codewords=idx,
         input_bits=int(words.size) * code.m,
-        output_symbols=int(counts @ code.codebook.lengths),
-        leaf_counts=counts,
+        output_symbols=int(code.codebook.lengths[idx].sum()),  # one k-sized temporary; np.take adds an intp copy of idx
     )
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import stat
@@ -391,7 +393,7 @@ class TestUsageErrors:
         assert exit_code(argv + ["--out", str(out)] * to_file) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "alphabet size must be at least 2" in err
-        assert not out.exists()
+        assert not out.exists() and not list(tmp_path.glob(".rescode-*"))
 
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("argv, d", [
@@ -411,7 +413,7 @@ class TestUsageErrors:
                           "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("error: invalid codebook size 4096: must be 3 + k*(2) for some k >= 0; "
                                            "the largest below it is 4095\n")
-        assert not out.exists()  # atomic: nothing partial on failure
+        assert not out.exists() and not list(tmp_path.glob(".rescode-*"))  # atomic: nothing partial on failure
 
     @pytest.mark.parametrize("p, n", [("0.2,0.8", 20000), ("0.3,0.3,0.4", 100_000_000)])
     def test_product_cap_is_checked_without_the_power(self, capsys, p, n):
@@ -447,19 +449,26 @@ class TestUsageErrors:
          "--out", "{missing}"],
         ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--out", "{missing}"],
         ["validate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--bits-file", "{missing}"],
-    ], ids=["bits-file", "generate-out", "curve-out", "validate-bits-file"])
+        ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--seed", "1",
+         "--out", "{file}/x"],
+        ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--out", "{file}/x"],
+    ], ids=["bits-file", "generate-out", "curve-out", "validate-bits-file", "generate-out-under-a-file",
+            "curve-out-under-a-file"])
     def test_bad_path(self, capsys, monkeypatch, tmp_path, argv):
         def refuse(*args):
             raise AssertionError("a code was built")
 
-        for module, name in ((f2v, "build_code"), (block, "build_block_code")):
+        for module, name in ((f2v, "build_code"), (block, "build_block_code"), (f2v, "stream")):
             monkeypatch.setattr(module, name, refuse)
-        missing = str(tmp_path / "no-such-dir" / "x")
-        assert exit_code([arg.format(missing=missing) for arg in argv]) == 2
+        plain = tmp_path / "plain"
+        plain.touch()
+        argv = [arg.format(missing=tmp_path / "no-such-dir" / "x", file=plain) for arg in argv]
+        assert exit_code(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "no-such-dir" in err
-        # the path the user gave, not the writer's temporary file
-        assert repr(missing) in err and ".rescode-" not in err
+        # the path the user gave (the last argument), not the writer's temporary file
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(argv[-1]) in err and ".rescode-" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["plain"]
 
     @pytest.mark.parametrize("slash", ["", "/"])
     @pytest.mark.parametrize("argv", [
@@ -532,6 +541,13 @@ def test_console_exit_status():
     assert error.returncode == 2 and error.stderr.startswith("error: ")
     done = console("quantize", "--q", "0.64,0.16,0.2", "--M", "8")
     assert done.returncode == 0 and done.stdout.startswith("counts=5,1,2\n")
+
+
+def test_print_only_commands_run_on_a_text_stdout():
+    # quantize and validate print text and write no bytes, so a stdout without a binary buffer serves them
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert cli.main(["quantize", "--q", "0.64,0.16,0.2", "--M", "8"]) == 0
+    assert text.getvalue().startswith("counts=5,1,2\n")
 
 
 TOO_BIG = "probabilities must be finite and in [0, 1 + 1e-09]"

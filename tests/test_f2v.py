@@ -276,6 +276,20 @@ class TestGenerateStream:
             tracemalloc.stop()
         assert peak / res.output_symbols < 10
 
+    def test_small_call_allocates_nothing_per_codeword(self):
+        # leaf counts are made when read, so a call of 8 words costs no O(N) array on a 2^16-leaf code
+        code = build_code(Pmf([0.211, 0.789]), 1 << 16, 24)
+        source = RandomBitSource(5)
+        assert code.guide.size == 1 << 20  # built once per code, before the call
+        tracemalloc.start()
+        try:
+            res = generate_stream(code, source, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.codewords.size == 8 and res.leaf_counts.sum() == 8
+        assert peak < code.num_codewords * 8
+
 
 @st.composite
 def stream_instances(draw):
