@@ -50,38 +50,101 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
                          f"the largest below it is {largest}")
     if not p.has_full_support():
         raise ValueError("branching distribution must have full support")
+    codes, lengths, leaf_probs = _leaves(p.probs, n)
+    # Unpacked in blocks of about 2^20 cells and dropped before the check, so little sits next to the table.
+    table = np.empty((n, int(lengths.max())), dtype=np.min_scalar_type(d - 1))
+    step = max(1, (1 << 20) // table.shape[1])
+    for s in range(0, n, step):
+        _unpack(codes[s : s + step], (d - 1).bit_length(), table[s : s + step])
+    del codes
+    codebook = validate_complete(Codebook(d, _frozen(table), _frozen(lengths)))
+    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(leaf_probs), p=p)
 
+
+def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N leaves in lexicographic order: their paths packed as in ``_symbol_bits``, lengths and probabilities.
+
+    The tree's level arrays are freed on return, before the table is allocated.
+    """
+    d, width = pv.size, (pv.size - 1).bit_length()
     # The greedy split takes nodes in increasing (-prob, path) order, so its k
     # internal nodes are the k smallest keys of the tree.  Each is at least as
     # likely as the likeliest leaf, which has probability 1/N or more: a node
     # below a cutoff under 1/N needs no children.
     k = (n - d) // (d - 1)
     cutoff = (1 - 1e-9) / n
-    parents, symbols, probs = _grow(p.probs, k, cutoff)
+    parents, symbols, probs = _grow(pv, k, cutoff)
     if np.count_nonzero(np.concatenate(probs) >= cutoff) < k:  # never seen; the running bound alone is safe
-        parents, symbols, probs = _grow(p.probs, k, 0.0)
+        parents, symbols, probs = _grow(pv, k, 0.0)
+    internal = _internal(parents, symbols, probs, k)
+    leaf = [~internal[0]] + [internal[j - 1][parents[j]] & ~internal[j] for j in range(1, len(probs))]
+    depth = max(j for j, level in enumerate(leaf, 1) if level.any())
+    position = _preceding(parents[:depth], [level.astype(np.int64) for level in leaf[:depth]])
+    # Level j's tree nodes are the D children of each internal node above, in
+    # order: the parent's code ORed with each symbol.  The level's leaves go to
+    # their rows, and its internal nodes' codes on to the next level.
+    pieces = -(-depth * width // 64)
+    codes, front = np.empty((n, pieces), dtype=np.uint64), np.zeros((1, pieces), dtype=np.uint64)
+    lengths, leaf_probs = np.empty(n, dtype=np.int64), np.empty(n)
+    for j, here in enumerate(leaf[:depth]):
+        nodes = (front[:, None] | _symbol_bits(d, j, pieces)).reshape(-1, pieces)
+        inner, rows = internal[j][here | internal[j]], position[j][here]
+        codes[rows], lengths[rows], leaf_probs[rows] = nodes[~inner], j + 1, probs[j][here]
+        front = nodes[inner]
+    return codes, lengths, leaf_probs
+
+
+def _internal(parents: list, symbols: list, probs: list, k: int) -> list:
+    """Per level, which grown nodes are among the k that the greedy split: the k smallest (-prob, path) keys."""
+    d, width = probs[0].size, (probs[0].size - 1).bit_length()
+    ends = np.cumsum([q.size for q in probs])
     flat = np.concatenate(probs)
     internal = np.zeros(flat.size, dtype=bool)
     if k:  # likelier than the k-th largest probability, or tied with it on a smaller path
         kth = np.partition(flat, flat.size - k)[flat.size - k]
         internal, tied = flat > kth, np.flatnonzero(flat == kth)
         if (need := k - np.count_nonzero(internal)) < tied.size:
-            rank = np.concatenate(_preceding(parents, [np.ones(q.size, dtype=np.int64) for q in probs])[0])
-            tied = tied[np.argsort(rank[tied])[:need]]
+            # Pack the few tied nodes' paths by walking each up to the root.  A prefix
+            # packs like its extensions cut short, so among equal codes the shorter goes first.
+            level = np.searchsorted(ends, tied, side="right")
+            node = tied - (ends - [q.size for q in probs])[level]
+            code = np.zeros((tied.size, -(-(int(level.max()) + 1) * width // 64)), dtype=np.uint64)
+            for j in range(int(level.max()), -1, -1):
+                on = level >= j
+                code[on] |= _symbol_bits(d, j, code.shape[1])[symbols[j][node[on]]]
+                node[on] = parents[j][node[on]]
+            tied = tied[np.lexsort((level, *code.T[::-1]))[:need]]
         internal[tied] = True
-    internal = np.split(internal, np.cumsum([q.size for q in probs])[:-1])
-    leaf = [~internal[0]] + [internal[j - 1][parents[j]] & ~internal[j] for j in range(1, len(probs))]
-    depth = max(j for j, level in enumerate(leaf, 1) if level.any())
-    position, count = _preceding(parents[:depth], [level.astype(np.int64) for level in leaf[:depth]])
-    # Level j's nodes cover the rows of the leaves below them in sorted runs.
-    table = np.zeros((n, depth), dtype=symbols[0].dtype)
-    lengths, leaf_probs, deeper = np.empty(n, dtype=np.int64), np.empty(n), np.ones(n, dtype=bool)
-    for j, here in enumerate(leaf[:depth]):
-        table[deeper, j] = np.repeat(symbols[j], count[j])
-        rows = position[j][here]
-        deeper[rows], lengths[rows], leaf_probs[rows] = False, j + 1, probs[j][here]
-    codebook = validate_complete(Codebook(d, _frozen(table), _frozen(lengths)))
-    return LeafDistribution(codebook=codebook, leaf_probs=_frozen(leaf_probs), p=p)
+    return np.split(internal, ends[:-1])
+
+
+def _symbol_bits(d: int, j: int, pieces: int) -> np.ndarray:
+    """Each of the D symbols as symbol j of a path packed as ``ResolutionCode.pieces`` packs it: [D, pieces] uint64.
+
+    That is ceil(log2 D) bits per symbol, MSB first, left-aligned in 64-bit
+    pieces; a symbol that crosses a piece boundary is split over both.
+    """
+    width = (d - 1).bit_length()
+    out, symbol = np.zeros((d, pieces), dtype=np.uint64), np.arange(d, dtype=np.uint64)
+    a, end = divmod(j * width, 64)
+    end += width
+    out[:, a] = symbol >> np.uint64(max(end - 64, 0)) << np.uint64(max(64 - end, 0))
+    if end > 64:
+        out[:, a + 1] = symbol << np.uint64(128 - end)
+    return out
+
+
+def _unpack(codes: np.ndarray, width: int, out: np.ndarray) -> None:
+    """Write the first out.shape[1] symbols of each path packed in `codes` (see ``_symbol_bits``) to its row."""
+    if width == 1:  # the bits are the symbols
+        out[:] = np.unpackbits(codes.astype(">u8").view(np.uint8), axis=1, count=out.shape[1])
+        return
+    for t in range(out.shape[1]):
+        a, o = divmod(t * width, 64)
+        word = codes[:, a] << np.uint64(o)
+        if o + width > 64:
+            word |= codes[:, a + 1] >> np.uint64(64 - o)
+        out[:, t] = word >> np.uint64(64 - width)
 
 
 def _grow(pv: np.ndarray, k: int, cutoff: float):
@@ -109,8 +172,8 @@ def _grow(pv: np.ndarray, k: int, cutoff: float):
     return parents, symbols, probs
 
 
-def _preceding(parents: list, weights: list) -> tuple[list, list]:
-    """Per level and node: the weight of the nodes before it in lexicographic order, and of its subtree."""
+def _preceding(parents: list, weights: list) -> list:
+    """Per level and node: the weight of the nodes before it in lexicographic order."""
     totals = list(weights)
     for j in range(len(weights) - 1, 0, -1):
         totals[j - 1] = weights[j - 1] + np.bincount(parents[j], totals[j], weights[j - 1].size).astype(np.int64)
@@ -119,4 +182,4 @@ def _preceding(parents: list, weights: list) -> tuple[list, list]:
         before.append(offset[parent] + np.cumsum(total) - total)
         # offset[i] plus the level's running sum before a child of node i is where that child starts
         offset = before[-1] + total - np.cumsum(total - weight)
-    return before, totals
+    return before

@@ -164,6 +164,21 @@ def tunstall_instances(draw):
     return p, d + k * (d - 1)
 
 
+@st.composite
+def tied_levels(draw):
+    """Narrow level arrays as tunstall._grow returns them, up to 80 deep, with three probability values; and a k."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    alphabet = np.arange(d, dtype=np.uint8)
+    parents, symbols, probs = [np.zeros(d, dtype=np.int64)], [alphabet], [rng.choice([0.1, 0.2, 0.3], d)]
+    for _ in range(draw(st.integers(min_value=0, max_value=79))):
+        front = np.sort(rng.choice(probs[-1].size, size=2, replace=False))
+        parents.append(np.repeat(front, d))
+        symbols.append(np.tile(alphabet, front.size))
+        probs.append(rng.choice([0.1, 0.2, 0.3], front.size * d))
+    return parents, symbols, probs, draw(st.integers(min_value=1, max_value=sum(q.size for q in probs)))
+
+
 class TestProperties:
     """Facts the construction guarantees, checked here instead of on every build."""
 
@@ -180,13 +195,27 @@ class TestProperties:
             assert abs(prob - ref) <= 1e-12 * ref, x
         assert check_balance(ld).ok
 
+    @settings(max_examples=50)
+    @given(tied_levels())
+    def test_ties_are_split_in_path_order(self, levels):
+        # Ties across levels and deep paths, so that the order of the tied nodes'
+        # packed paths reads every piece and, between a prefix and its extension, the level.
+        parents, symbols, probs, k = levels
+        nodes = [[(s,) for s in symbols[0].tolist()]]
+        for parent, symbol in zip(parents[1:], symbols[1:]):
+            nodes.append([nodes[-1][i] + (s,) for i, s in zip(parent.tolist(), symbol.tolist())])
+        keys = [(-q, path) for level, prob in zip(nodes, probs) for q, path in zip(prob.tolist(), level)]
+        expected = np.zeros(len(keys), dtype=bool)
+        expected[sorted(range(len(keys)), key=keys.__getitem__)[:k]] = True
+        assert np.array_equal(np.concatenate(tunstall._internal(parents, symbols, probs, k)), expected)
+
 
 @st.composite
 def oracle_instances(draw):
-    """D in 2..4 with every branch probability at least a floor down to 0.001, and a valid N <= 2^12."""
+    """D in 2..6 with every branch probability at least a floor down to 0.001, and a valid N <= 2^12."""
     floor = draw(st.sampled_from([0.001, 0.01, 0.1]))
     weight = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
-    weights = np.asarray(draw(st.lists(weight, min_size=2, max_size=4)))
+    weights = np.asarray(draw(st.lists(weight, min_size=2, max_size=6)))
     d = weights.size
     total = math.fsum(weights)
     p = Pmf(floor + (1 - floor * d) * weights / total if total else np.full(d, 1 / d))
@@ -209,7 +238,10 @@ class TestHeapOracle:
     @pytest.mark.parametrize(
         "probs, n",
         [((0.211, 0.789), n) for n in (32, 2048, 3072, 4096, 1 << 16)]
-        + [((0.5, 0.3, 0.2), 16385), ((0.999, 0.001), 1024)],
+        + [((0.5, 0.3, 0.2), 16385), ((0.999, 0.001), 1024)]
+        # the build packs paths in 64-bit pieces: symbols that straddle two pieces
+        # (3 bits each over 57 symbols; 9 bits each in a uint16 table), and five pieces
+        + [((0.9,) + (0.025,) * 4, 4097), ((0.5,) + (0.5 / 299,) * 299, 12260), ((0.02, 0.98), 3072)],
     )
     def test_pinned_sizes_match_heap(self, probs, n):
         p = Pmf(list(probs))
@@ -246,3 +278,13 @@ class TestHeapOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * ld.codebook.table.nbytes + (1 << 20)
+
+    def test_binary_build_stays_near_its_table_size(self):
+        # the benchmark sweep's largest build, which sets that workload's peak memory
+        tracemalloc.start()
+        try:
+            ld = build_tunstall(Pmf([0.211, 0.789]), 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * ld.codebook.table.nbytes
