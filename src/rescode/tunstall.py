@@ -55,14 +55,14 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
     table = np.empty((n, int(lengths.max())), dtype=np.min_scalar_type(d - 1))
     step = max(1, (1 << 20) // table.shape[1])
     for s in range(0, n, step):
-        _unpack(codes[s : s + step], (d - 1).bit_length(), table[s : s + step])
+        _unpack(codes[:, s : s + step], (d - 1).bit_length(), table[s : s + step])
     del codes
     codebook = validate_complete(Codebook(d, _frozen(table), _frozen(lengths)))
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(leaf_probs), p=p)
 
 
 def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The N leaves in lexicographic order: their paths packed as in ``_symbol_bits``, lengths and probabilities.
+    """The N leaves in lexicographic order: packed paths ([pieces, N], see ``_symbol_bits``), lengths, probabilities.
 
     The tree's level arrays are freed on return, before the table is allocated.
     """
@@ -73,28 +73,31 @@ def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # below a cutoff under 1/N needs no children.
     k = (n - d) // (d - 1)
     cutoff = (1 - 1e-9) / n
-    parents, symbols, probs = _grow(pv, k, cutoff)
+    fronts, probs = _grow(pv, k, cutoff)
     if np.count_nonzero(np.concatenate(probs) >= cutoff) < k:  # never seen; the running bound alone is safe
-        parents, symbols, probs = _grow(pv, k, 0.0)
-    internal = _internal(parents, symbols, probs, k)
-    leaf = [~internal[0]] + [internal[j - 1][parents[j]] & ~internal[j] for j in range(1, len(probs))]
+        fronts, probs = _grow(pv, k, 0.0)
+    internal = _internal(fronts, probs, k)
+    leaf = [~internal[0]] + [np.repeat(internal[j - 1][fronts[j]], d) & ~internal[j] for j in range(1, len(probs))]
     depth = max(j for j, level in enumerate(leaf, 1) if level.any())
-    position = _preceding(parents[:depth], [level.astype(np.int64) for level in leaf[:depth]])
     # Level j's tree nodes are the D children of each internal node above, in
-    # order: the parent's code ORed with each symbol.  The level's leaves go to
-    # their rows, and its internal nodes' codes on to the next level.
+    # order: the parent's code ORed with each symbol.  The level's leaves are
+    # written after those of the levels above, and its internal nodes' codes go
+    # on to the next level.  No leaf is a prefix of another, so the left-aligned
+    # codes are distinct and sort as the paths do; stored piece by piece, each
+    # of lexsort's keys is contiguous.
     pieces = -(-depth * width // 64)
-    codes, front = np.empty((n, pieces), dtype=np.uint64), np.zeros((1, pieces), dtype=np.uint64)
-    lengths, leaf_probs = np.empty(n, dtype=np.int64), np.empty(n)
+    codes, front = np.empty((pieces, n), dtype=np.uint64), np.zeros((pieces, 1), dtype=np.uint64)
+    lengths, leaf_probs, start = np.empty(n, dtype=np.int64), np.empty(n), 0
     for j, here in enumerate(leaf[:depth]):
-        nodes = (front[:, None] | _symbol_bits(d, j, pieces)).reshape(-1, pieces)
-        inner, rows = internal[j][here | internal[j]], position[j][here]
-        codes[rows], lengths[rows], leaf_probs[rows] = nodes[~inner], j + 1, probs[j][here]
-        front = nodes[inner]
-    return codes, lengths, leaf_probs
+        nodes = (front[:, :, None] | _symbol_bits(d, j, pieces).T[:, None]).reshape(pieces, -1)
+        inner, end = internal[j][here | internal[j]], start + np.count_nonzero(here)
+        codes[:, start:end], lengths[start:end], leaf_probs[start:end] = nodes[:, ~inner], j + 1, probs[j][here]
+        front, start = nodes[:, inner], end
+    order = np.lexsort(codes[::-1])
+    return codes[:, order], lengths[order], leaf_probs[order]
 
 
-def _internal(parents: list, symbols: list, probs: list, k: int) -> list:
+def _internal(fronts: list, probs: list, k: int) -> list:
     """Per level, which grown nodes are among the k that the greedy split: the k smallest (-prob, path) keys."""
     d, width = probs[0].size, (probs[0].size - 1).bit_length()
     ends = np.cumsum([q.size for q in probs])
@@ -111,8 +114,8 @@ def _internal(parents: list, symbols: list, probs: list, k: int) -> list:
             code = np.zeros((tied.size, -(-(int(level.max()) + 1) * width // 64)), dtype=np.uint64)
             for j in range(int(level.max()), -1, -1):
                 on = level >= j
-                code[on] |= _symbol_bits(d, j, code.shape[1])[symbols[j][node[on]]]
-                node[on] = parents[j][node[on]]
+                code[on] |= _symbol_bits(d, j, code.shape[1])[node[on] % d]
+                node[on] = fronts[j][node[on] // d]
             tied = tied[np.lexsort((level, *code.T[::-1]))[:need]]
         internal[tied] = True
     return np.split(internal, ends[:-1])
@@ -135,28 +138,28 @@ def _symbol_bits(d: int, j: int, pieces: int) -> np.ndarray:
 
 
 def _unpack(codes: np.ndarray, width: int, out: np.ndarray) -> None:
-    """Write the first out.shape[1] symbols of each path packed in `codes` (see ``_symbol_bits``) to its row."""
+    """Write each path in `codes` ([pieces, rows], see ``_symbol_bits``) to its row, cut to out.shape[1] symbols."""
     if width == 1:  # the bits are the symbols
-        out[:] = np.unpackbits(codes.astype(">u8").view(np.uint8), axis=1, count=out.shape[1])
+        out[:] = np.unpackbits(codes.T.astype(">u8", order="C").view(np.uint8), axis=1, count=out.shape[1])
         return
     for t in range(out.shape[1]):
         a, o = divmod(t * width, 64)
-        word = codes[:, a] << np.uint64(o)
+        word = codes[a] << np.uint64(o)
         if o + width > 64:
-            word |= codes[:, a + 1] >> np.uint64(64 - o)
+            word |= codes[a + 1] >> np.uint64(64 - o)
         out[:, t] = word >> np.uint64(64 - width)
 
 
 def _grow(pv: np.ndarray, k: int, cutoff: float):
-    """Per level, in lexicographic order, the nodes' parent indices, symbols and probabilities.
+    """Per level, in lexicographic order: which nodes of the level above got children, and the node probabilities.
 
-    A node gets children down to depth k + 1 while its probability is at least
-    the cutoff and the k-th largest generated so far, a lower bound of the tree's.
+    Node i of level j is symbol i mod D below node fronts[j][i // D]; level 0's
+    front is the root.  A node gets children down to depth k + 1 while its
+    probability is at least the cutoff and the k-th largest generated so far,
+    a lower bound of the tree's.
     """
-    d = pv.size
-    alphabet = np.arange(d, dtype=np.min_scalar_type(d - 1))
-    parents, symbols, probs = [np.zeros(d, dtype=np.int64)], [alphabet], [pv]
-    best, fresh, count, bound = np.empty(0), [pv], d, cutoff
+    fronts, probs = [np.zeros(1, dtype=np.int64)], [pv]
+    best, fresh, count, bound = np.empty(0), [pv], pv.size, cutoff
     while len(probs) <= k:
         if count >= 2 * k:
             best = np.partition(np.concatenate([best, *fresh]), count - k)[count - k :]
@@ -164,22 +167,8 @@ def _grow(pv: np.ndarray, k: int, cutoff: float):
         front = np.flatnonzero(probs[-1] >= bound)
         if not front.size:
             break
-        parents.append(np.repeat(front, d))
-        symbols.append(np.tile(alphabet, front.size))
+        fronts.append(front)
         probs.append((probs[-1][front, None] * pv).ravel())
         fresh.append(probs[-1])
         count += probs[-1].size
-    return parents, symbols, probs
-
-
-def _preceding(parents: list, weights: list) -> list:
-    """Per level and node: the weight of the nodes before it in lexicographic order."""
-    totals = list(weights)
-    for j in range(len(weights) - 1, 0, -1):
-        totals[j - 1] = weights[j - 1] + np.bincount(parents[j], totals[j], weights[j - 1].size).astype(np.int64)
-    before, offset = [], np.zeros(1, dtype=np.int64)
-    for parent, weight, total in zip(parents, weights, totals):
-        before.append(offset[parent] + np.cumsum(total) - total)
-        # offset[i] plus the level's running sum before a child of node i is where that child starts
-        offset = before[-1] + total - np.cumsum(total - weight)
-    return before
+    return fronts, probs

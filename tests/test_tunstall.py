@@ -169,14 +169,11 @@ def tied_levels(draw):
     """Narrow level arrays as tunstall._grow returns them, up to 80 deep, with three probability values; and a k."""
     d = draw(st.integers(min_value=2, max_value=6))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    alphabet = np.arange(d, dtype=np.uint8)
-    parents, symbols, probs = [np.zeros(d, dtype=np.int64)], [alphabet], [rng.choice([0.1, 0.2, 0.3], d)]
+    fronts, probs = [np.zeros(1, dtype=np.int64)], [rng.choice([0.1, 0.2, 0.3], d)]
     for _ in range(draw(st.integers(min_value=0, max_value=79))):
-        front = np.sort(rng.choice(probs[-1].size, size=2, replace=False))
-        parents.append(np.repeat(front, d))
-        symbols.append(np.tile(alphabet, front.size))
-        probs.append(rng.choice([0.1, 0.2, 0.3], front.size * d))
-    return parents, symbols, probs, draw(st.integers(min_value=1, max_value=sum(q.size for q in probs)))
+        fronts.append(np.sort(rng.choice(probs[-1].size, size=2, replace=False)))
+        probs.append(rng.choice([0.1, 0.2, 0.3], fronts[-1].size * d))
+    return fronts, probs, draw(st.integers(min_value=1, max_value=sum(q.size for q in probs)))
 
 
 class TestProperties:
@@ -200,14 +197,15 @@ class TestProperties:
     def test_ties_are_split_in_path_order(self, levels):
         # Ties across levels and deep paths, so that the order of the tied nodes'
         # packed paths reads every piece and, between a prefix and its extension, the level.
-        parents, symbols, probs, k = levels
-        nodes = [[(s,) for s in symbols[0].tolist()]]
-        for parent, symbol in zip(parents[1:], symbols[1:]):
-            nodes.append([nodes[-1][i] + (s,) for i, s in zip(parent.tolist(), symbol.tolist())])
+        fronts, probs, k = levels
+        d = probs[0].size
+        nodes = [[(s,) for s in range(d)]]
+        for front in fronts[1:]:
+            nodes.append([nodes[-1][i] + (s,) for i in front.tolist() for s in range(d)])
         keys = [(-q, path) for level, prob in zip(nodes, probs) for q, path in zip(prob.tolist(), level)]
         expected = np.zeros(len(keys), dtype=bool)
         expected[sorted(range(len(keys)), key=keys.__getitem__)[:k]] = True
-        assert np.array_equal(np.concatenate(tunstall._internal(parents, symbols, probs, k)), expected)
+        assert np.array_equal(np.concatenate(tunstall._internal(fronts, probs, k)), expected)
 
 
 @st.composite
@@ -287,4 +285,4 @@ class TestHeapOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.5 * ld.codebook.table.nbytes
+        assert peak <= 2.75 * ld.codebook.table.nbytes
