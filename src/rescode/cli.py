@@ -141,8 +141,8 @@ def cmd_generate(args, out) -> int:
                          "use --format packed")
     code, source = _code_and_bits(args)
     input_bits = output_symbols = 0
-    # Text goes out in whole lines of 64 symbols; packed output in whole 64-bit words.
-    carry, word, bits = np.empty(0, dtype=code.codebook.table.dtype), 0, 0
+    # Text goes out in whole lines of 64 symbols (one byte each, as D <= 10); packed output in whole 64-bit words.
+    carry, word, bits = np.empty(0, dtype=np.uint8), 0, 0
     for chunk in f2v.stream(code, source, args.symbols):
         input_bits += chunk.input_bits
         output_symbols += chunk.output_symbols

@@ -29,21 +29,28 @@ class CodebookError(ValueError):
 class Codebook:
     """A complete prefix-free codebook over D symbols, its leaves sorted.
 
-    Constructing one checks nothing; ``validate_complete`` checks one as
-    it stands.  ``table`` holds leaf i's symbols in row i of a
-    ``[N, max_len]`` matrix in the smallest unsigned dtype that holds
-    D - 1, zero past the leaf's length ``lengths[i]`` (int64).  ``mask``,
-    the ``[N, max_len]`` cells of ``table`` that hold a symbol, is built on
-    first use; all are read-only.  ``leaves`` rebuilds the paths as tuples
-    for the benchmark's oracle.
+    Constructing one checks nothing; ``validate_complete`` checks one as it
+    stands.  ``codes[:, i]`` is leaf i's path, ceil(log2 D) bits per symbol,
+    MSB first, left-aligned in the uint64 pieces of a ``[pieces, N]`` array
+    and zero past its length ``lengths[i]`` (int64).  Derived on first use:
+    ``table``, the paths as the rows of a zero-padded ``[N, max_len]``
+    matrix in the smallest unsigned dtype that holds D - 1, and ``mask``,
+    its cells that hold a symbol.  All are read-only.  ``leaves`` rebuilds
+    the paths as tuples for the benchmark's oracle.
     """
 
     alphabet_size: int
-    table: np.ndarray
+    codes: np.ndarray
     lengths: np.ndarray
 
     def __len__(self) -> int:
         return self.lengths.size
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = np.empty((len(self), self.max_len()), dtype=np.min_scalar_type(self.alphabet_size - 1))
+        _unpack(self.codes, operator.index(self.alphabet_size - 1).bit_length(), table)
+        return _frozen(table)
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -76,42 +83,45 @@ class LeafDistribution:
 
 
 def validate_complete(book: Codebook) -> Codebook:
-    """Check a Codebook as it stands, rows in the given order, and return it.
+    """Check a Codebook as it stands, codes in the given order, and return it.
 
-    Raises ValueError for an alphabet under 2 symbols, a non-integer table
-    or lengths, no leaves, an empty leaf, a table that is not N rows by the
-    longest leaf's length, or a cell outside [0, D); and CodebookError,
-    naming the duplicate leaf, the prefix pair, the rows out of order or
-    the exact rational Kraft deficit, when the rows are not a sorted
-    complete prefix-free codebook.
+    Raises ValueError for a malformed codebook: an alphabet under 2 symbols,
+    codes that are not uint64 or not ceil(max_len * ceil(log2 D) / 64) pieces
+    by N, lengths that are not integers or under 1, no leaves, a bit set past
+    a leaf's end or a symbol field outside [0, D); and CodebookError, naming
+    the duplicate leaf, the prefix pair, the leaves out of order or the exact
+    rational Kraft deficit, when the leaves are not a sorted complete
+    prefix-free codebook.
     """
-    d, table, lengths = operator.index(book.alphabet_size), book.table, book.lengths
+    d, codes, lengths = operator.index(book.alphabet_size), book.codes, book.lengths
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
-    if not (np.issubdtype(table.dtype, np.integer) and np.issubdtype(lengths.dtype, np.integer)):
-        raise ValueError("table and lengths must be integer arrays")
+    if codes.dtype != np.uint64 or not np.issubdtype(lengths.dtype, np.integer):
+        raise ValueError(f"codes must be uint64 and lengths integer arrays, not {codes.dtype} and {lengths.dtype}")
     if not lengths.size:
         raise ValueError("leaf set must be nonempty")
     if lengths.min() < 1:
         raise ValueError("leaf paths must have length at least 1")
-    if table.shape != (lengths.size, book.max_len()):
-        raise ValueError(f"table shape {table.shape} is not (N, max leaf length) = ({lengths.size}, {book.max_len()})")
-    if table.min() < 0 or table.max() >= d:
-        raise ValueError(f"leaves contain symbols outside [0, {d})")
-    # Each leaf must sort strictly before the next and not be its prefix: the
-    # first differing cell lies within both leaves and grows.  In sorted order
-    # a prefix pair, if any exists, is adjacent.  Rows are compared in blocks
-    # of about 2^20 cells, so the temporaries stay small next to the table.
-    ok = np.empty(len(book) - 1, dtype=bool)
-    step = max(1, (1 << 20) // table.shape[1])
-    for s in range(0, ok.size, step):
-        e = min(s + step, ok.size)
-        x, y, rows = table[s:e], table[s + 1 : e + 1], np.arange(e - s)
-        first = (x != y).argmax(axis=1)
-        ok[s:e] = (first < np.minimum(lengths[s:e], lengths[s + 1 : e + 1])) & (y[rows, first] > x[rows, first])
-    if not ok.all():
-        i = int(ok.argmin())
-        a, b = (tuple(table[r, : lengths[r]].tolist()) for r in (i, i + 1))
+    width, n = (d - 1).bit_length(), lengths.size
+    if codes.shape != (pieces := -(-book.max_len() * width // 64), n):
+        raise ValueError(f"codes shape {codes.shape} is not (pieces, N) = ({pieces}, {n})")
+    # Each leaf must sort strictly before the next and not be its prefix: cut to the shorter leaf's bits,
+    # its code is the smaller.  In sorted order a prefix pair, if any, is adjacent.  Piece j holds bits
+    # 64j to 64j + 63 of each path, and a shift by 64 gives 0.
+    bits = lengths * width
+    both, less = np.minimum(bits[:-1], bits[1:]), False
+    for j in range(pieces - 1, -1, -1):  # the first differing piece decides, so it is compared last
+        if (past := codes[j] << np.clip(bits - 64 * j, 0, 64).astype(np.uint64) != 0).any():
+            raise ValueError(f"code {int(past.argmax())} has bits set past its leaf's end")
+        drop = np.clip(64 * (j + 1) - both, 0, 64).astype(np.uint64)
+        x, y = codes[j, :-1] >> drop, codes[j, 1:] >> drop
+        less = (x < y) | (x == y) & less
+    if d & (d - 1) and max(field.max() for field in _fields(codes, width, book.max_len())) >= d:
+        raise ValueError(f"leaves contain symbols outside [0, {d})")  # a field holds up to 2^width - 1
+    if not less.all():
+        i = int(less.argmin())
+        rows = np.array(list(_fields(codes[:, i : i + 2], width, int(lengths[i : i + 2].max())))).T
+        a, b = (tuple(rows[r, : lengths[i + r]].tolist()) for r in (0, 1))
         if a == b:
             raise CodebookError(f"duplicate leaf {a}")
         if b[: len(a)] == a:
@@ -138,11 +148,10 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
         )
     if not p.has_full_support():
         raise ValueError("branching distribution must have full support; drop zero-probability symbols first")
-    # the left fold of acc *= pv[s] along each path, one column at a time
-    pv, table, lengths = p.probs, codebook.table, codebook.lengths
-    probs = np.ones(len(codebook))
-    for j in range(codebook.max_len()):
-        probs *= np.where(lengths > j, pv[table[:, j]], 1.0)
+    # the left fold of acc *= pv[s] along each path, one symbol position at a time
+    probs, width = np.ones(len(codebook)), (p.alphabet_size - 1).bit_length()
+    for j, symbols in enumerate(_fields(codebook.codes, width, codebook.max_len())):
+        probs *= np.where(codebook.lengths > j, p.probs[symbols], 1.0)
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), p=p)
 
 
@@ -155,6 +164,41 @@ def product_codebook(alphabet_size: int, n: int) -> Codebook:
         raise ValueError("block length must be at least 1")
     if n > MAX_PRODUCT_LEAVES.bit_length() or d**n > MAX_PRODUCT_LEAVES:  # d**n only for small n
         raise ValueError(f"product codebook would have D^n = {d}^{n} leaves, above the cap {MAX_PRODUCT_LEAVES}")
-    table = np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1).T
-    lengths = np.full(d**n, n, dtype=np.int64)
-    return Codebook(alphabet_size=d, table=_frozen(np.ascontiguousarray(table)), lengths=_frozen(lengths))
+    codes = np.zeros((1, 1), dtype=np.uint64)
+    for j in range(n):  # D^n <= 2^20 keeps n * ceil(log2 D) <= 24 bits: one piece
+        codes = (codes[:, :, None] | _symbol_bits(d, j, 1).T[:, None]).reshape(1, -1)
+    return Codebook(alphabet_size=d, codes=_frozen(codes), lengths=_frozen(np.full(d**n, n, dtype=np.int64)))
+
+
+def _symbol_bits(d: int, j: int, pieces: int) -> np.ndarray:
+    """The D symbols as symbol j of a path in ``Codebook.codes``: [D, pieces] uint64, split where pieces meet."""
+    width = (d - 1).bit_length()
+    out, symbol = np.zeros((d, pieces), dtype=np.uint64), np.arange(d, dtype=np.uint64)
+    a, end = divmod(j * width, 64)
+    end += width
+    out[:, a] = symbol >> np.uint64(max(end - 64, 0)) << np.uint64(max(64 - end, 0))
+    if end > 64:
+        out[:, a + 1] = symbol << np.uint64(128 - end)
+    return out
+
+
+def _unpack(codes: np.ndarray, width: int, out: np.ndarray) -> None:
+    """Write each path in `codes` ([pieces, rows], see ``_symbol_bits``) to its row, cut to out.shape[1] symbols."""
+    if width > 1:
+        for t, symbols in enumerate(_fields(codes, width, out.shape[1])):
+            out[:, t] = symbols
+        return
+    step = max(1, (1 << 20) // out.shape[1])  # the bits are the symbols, unpacked in blocks of about 2^20
+    for s in range(0, out.shape[0], step):
+        bits = codes[:, s : s + step].T.astype(">u8", order="C").view(np.uint8)
+        out[s : s + step] = np.unpackbits(bits, axis=1, count=out.shape[1])
+
+
+def _fields(codes: np.ndarray, width: int, count: int):
+    """Symbols 0 to count - 1 of the paths in `codes` ([pieces, rows]) as int64 rows, which numpy indexes with as is."""
+    for t in range(count):
+        a, o = divmod(t * width, 64)
+        word = codes[a] << np.uint64(o)
+        if o + width > 64:
+            word |= codes[a + 1] >> np.uint64(64 - o)
+        yield (word >> np.uint64(64 - width)).view(np.int64)

@@ -88,19 +88,11 @@ class ResolutionCode:
 
     @cached_property
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each codeword's bits, ceil(log2 D) per symbol MSB first, left-aligned in 64-bit pieces.
-
-        Returns the ``[N, P]`` uint64 pieces, zero past a codeword's end, and their bit counts (0 to 64).
-        """
+        """Each codeword's pieces, the codebook's ``codes`` seen as [N, P] rows, and their bit counts (0 to 64)."""
         book = self.codebook
-        width = (book.alphabet_size - 1).bit_length()
-        bits = book.lengths * width
-        values = np.zeros((len(book), -(-int(bits.max()) // 64)), dtype=np.uint64)
-        for t in range(book.max_len() * width):  # bit t is bit t % width of symbol t // width
-            plane = (book.table[:, t // width] >> (width - 1 - t % width)) & 1
-            values[:, t >> 6] |= plane.astype(np.uint64) << np.uint64(63 - (t & 63))
-        sizes = np.clip(bits[:, None] - 64 * np.arange(values.shape[1]), 0, 64)
-        return _frozen(values), _frozen(sizes.astype(np.uint8))
+        width = operator.index(book.alphabet_size - 1).bit_length()
+        held = book.lengths[:, None] * width - 64 * np.arange(book.codes.shape[0])
+        return _frozen(book.codes.T), _frozen(np.clip(held, 0, 64).astype(np.uint8))
 
 
 def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:

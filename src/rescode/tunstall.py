@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .codetree import Codebook, LeafDistribution, validate_complete
+from .codetree import Codebook, LeafDistribution, _symbol_bits, validate_complete
 from .probdist import Pmf, _frozen
 
 # Largest codebook size round_size_down and build_tunstall accept, checked before anything is built.
@@ -51,21 +51,12 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
     if not p.has_full_support():
         raise ValueError("branching distribution must have full support")
     codes, lengths, leaf_probs = _leaves(p.probs, n)
-    # Unpacked in blocks of about 2^20 cells and dropped before the check, so little sits next to the table.
-    table = np.empty((n, int(lengths.max())), dtype=np.min_scalar_type(d - 1))
-    step = max(1, (1 << 20) // table.shape[1])
-    for s in range(0, n, step):
-        _unpack(codes[:, s : s + step], (d - 1).bit_length(), table[s : s + step])
-    del codes
-    codebook = validate_complete(Codebook(d, _frozen(table), _frozen(lengths)))
+    codebook = validate_complete(Codebook(d, _frozen(codes), _frozen(lengths)))
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(leaf_probs), p=p)
 
 
 def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The N leaves in lexicographic order: packed paths ([pieces, N], see ``_symbol_bits``), lengths, probabilities.
-
-    The tree's level arrays are freed on return, before the table is allocated.
-    """
+    """The N leaves in lexicographic order: packed paths (``Codebook.codes``), lengths, probabilities."""
     d, width = pv.size, (pv.size - 1).bit_length()
     # The greedy split takes nodes in increasing (-prob, path) order, so its k
     # internal nodes are the k smallest keys of the tree.  Each is at least as
@@ -84,7 +75,8 @@ def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # written after those of the levels above, and its internal nodes' codes go
     # on to the next level.  No leaf is a prefix of another, so the left-aligned
     # codes are distinct and sort as the paths do; stored piece by piece, each
-    # of lexsort's keys is contiguous.
+    # of lexsort's keys is contiguous, and numpy's gather by the sort order
+    # then lays each leaf's pieces side by side, as ``pieces`` reads them.
     pieces = -(-depth * width // 64)
     codes, front = np.empty((pieces, n), dtype=np.uint64), np.zeros((pieces, 1), dtype=np.uint64)
     lengths, leaf_probs, start = np.empty(n, dtype=np.int64), np.empty(n), 0
@@ -119,35 +111,6 @@ def _internal(fronts: list, probs: list, k: int) -> list:
             tied = tied[np.lexsort((level, *code.T[::-1]))[:need]]
         internal[tied] = True
     return np.split(internal, ends[:-1])
-
-
-def _symbol_bits(d: int, j: int, pieces: int) -> np.ndarray:
-    """Each of the D symbols as symbol j of a path packed as ``ResolutionCode.pieces`` packs it: [D, pieces] uint64.
-
-    That is ceil(log2 D) bits per symbol, MSB first, left-aligned in 64-bit
-    pieces; a symbol that crosses a piece boundary is split over both.
-    """
-    width = (d - 1).bit_length()
-    out, symbol = np.zeros((d, pieces), dtype=np.uint64), np.arange(d, dtype=np.uint64)
-    a, end = divmod(j * width, 64)
-    end += width
-    out[:, a] = symbol >> np.uint64(max(end - 64, 0)) << np.uint64(max(64 - end, 0))
-    if end > 64:
-        out[:, a + 1] = symbol << np.uint64(128 - end)
-    return out
-
-
-def _unpack(codes: np.ndarray, width: int, out: np.ndarray) -> None:
-    """Write each path in `codes` ([pieces, rows], see ``_symbol_bits``) to its row, cut to out.shape[1] symbols."""
-    if width == 1:  # the bits are the symbols
-        out[:] = np.unpackbits(codes.T.astype(">u8", order="C").view(np.uint8), axis=1, count=out.shape[1])
-        return
-    for t in range(out.shape[1]):
-        a, o = divmod(t * width, 64)
-        word = codes[a] << np.uint64(o)
-        if o + width > 64:
-            word |= codes[a + 1] >> np.uint64(64 - o)
-        out[:, t] = word >> np.uint64(64 - width)
 
 
 def _grow(pv: np.ndarray, k: int, cutoff: float):

@@ -5,8 +5,9 @@ check both work on flat arrays there, min_type_order takes one gcd,
 quantize bisects a cost threshold and sorts only the levels near it
 (heap_quantize pops one unit at a time from a heap with one entry per
 symbol, and brute_force_quantize enumerates every composition), codebooks are
-read through their table and lengths (paths turns them back into tuples,
-flat_codebook turns leaf paths into one), the CLI writes text output as
+held as packed codes and lengths (paths turns them back into tuples
+through the derived table, flat_codebook packs leaf paths into one with
+Python ints), the CLI writes text output as
 one byte array per chunk and packed output straight from codeword
 indices (pack_symbols packs expanded symbols instead), and the stream
 cuts its words from packed bytes and maps them through its guide table.
@@ -62,13 +63,21 @@ def paths(book) -> tuple[tuple[int, ...], ...]:
 
 
 def flat_codebook(leaves, d: int) -> Codebook:
-    """A Codebook holding the leaf paths in sorted order, unchecked."""
-    leaves = sorted(tuple(x) for x in leaves)
+    """A Codebook holding the leaf paths in sorted order, unchecked.
+
+    Each path is packed as one Python int, ceil(log2 d) bits per symbol MSB first,
+    then cut into its uint64 pieces; a symbol that does not fit its field is refused.
+    """
+    leaves, width = sorted(tuple(x) for x in leaves), (d - 1).bit_length()
     lengths = np.array([len(x) for x in leaves], dtype=np.int64)
-    table = np.zeros((len(leaves), max(lengths, default=0)), dtype=np.min_scalar_type(d - 1))
-    for row, x in zip(table, leaves):
-        row[: len(x)] = x
-    return Codebook(alphabet_size=d, table=table, lengths=lengths)
+    pieces = -(-max(map(len, leaves), default=0) * width // 64)
+    codes = np.zeros((pieces, len(leaves)), dtype=np.uint64)
+    for i, x in enumerate(leaves):
+        if not all(0 <= s < 1 << width for s in x):
+            raise ValueError(f"path {x} has a symbol that does not fit {width} bits")
+        value = sum(s << (64 * pieces - width * (t + 1)) for t, s in enumerate(x))
+        codes[:, i] = np.frombuffer(value.to_bytes(8 * pieces, "big"), dtype=">u8")
+    return Codebook(alphabet_size=d, codes=codes, lengths=lengths)
 
 
 def tuple_validate_complete(leaves, alphabet_size: int):

@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ class TestGenerate:
         assert np.count_nonzero(marked & (idx != built.num_codewords - 1)) > 10  # words of split buckets
         leaves = paths(built.codebook)
         assert got.tolist() == [s for i in idx.tolist() for s in leaves[i]]
+
+    @pytest.mark.parametrize("command, unpacks", [
+        (["generate", "--format", "packed", "--out", "{tmp}/sym.bin"], False),
+        (["validate", "--tv-threshold", "1"], False),
+        (["generate", "--format", "text", "--out", "{tmp}/sym.txt"], True),
+    ])
+    def test_only_text_output_derives_the_table(self, capsys, tmp_path, command, unpacks):
+        # packed output and validate read the codes and lengths; only text output builds the padded table
+        argv = [arg.format(tmp=tmp_path) for arg in command] + ["--p", "0.5,0.3,0.2", "--m", "12", "--size", "99",
+                                                                "--symbols", "1000", "--seed", "1"]
+        with mock.patch.object(codetree, "_unpack", wraps=codetree._unpack) as unpack:
+            code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert unpack.called == unpacks
 
     def test_packed_peak_memory_is_bounded(self, capsys, tmp_path):
         # the benchmark's stream_packed code; holding the whole stream would

@@ -18,6 +18,14 @@ from rescode import (
 from references import flat_codebook, loop_leaf_probs, paths, tuple_validate_complete
 
 
+def chain(depth: int, d: int) -> list:
+    """A complete D-ary leaf set branching off the all-zero path of the given depth.
+
+    In sorted order, neighbours first differ at every depth from depth - 1 up to 0.
+    """
+    return [(0,) * j + (a,) for j in range(depth - 1) for a in range(1, d)] + [(0,) * (depth - 1) + (a,) for a in range(d)]
+
+
 class TestValidateComplete:
     def test_valid_binary(self):
         cb = validate_complete(flat_codebook([(0, 0), (0, 1), (1,)], 2))
@@ -39,32 +47,42 @@ class TestValidateComplete:
             validate_complete(flat_codebook([(0,), (0,), (1,)], 2))
 
     def test_symbol_out_of_range(self):
-        with pytest.raises(ValueError):
-            validate_complete(flat_codebook([(0,), (2,)], 2))
+        # a field of ceil(log2 D) bits holds values up to 2^width - 1, at or above D unless D is a power of two
+        for d, leaves in [(3, [(0,), (1,), (3,)]), (5, [(0,), (1,), (2,), (3,), (4, 7)])]:
+            with pytest.raises(ValueError, match=rf"outside \[0, {d}\)"):
+                validate_complete(flat_codebook(leaves, d))
 
     def test_negative_symbol(self):
-        # pv[-1] would wrap: leaf_distribution(Pmf([0.3, 0.7]), book) reads [0.7, 0.7]
-        book = Codebook(alphabet_size=2, table=np.array([[-1], [1]]), lengths=np.array([1, 1]))
-        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        # signed pieces would shift their sign bit in as they are unpacked
+        book = Codebook(alphabet_size=2, codes=np.array([[0, -(1 << 63)]]), lengths=np.array([1, 1]))
+        with pytest.raises(ValueError, match="uint64"):
             validate_complete(book)
 
-    def test_table_wider_than_longest_leaf(self):
-        # the stream's mask has max_len() columns and would not fit the table
-        table = np.array([[0, 0], [1, 0]], dtype=np.uint8)
-        book = Codebook(alphabet_size=2, table=table, lengths=np.array([1, 1]))
-        with pytest.raises(ValueError, match="table shape"):
+    def test_codes_wider_than_longest_leaf(self):
+        # the stream's pieces would carry a piece that no leaf reaches
+        codes = np.array([[0, 1 << 63], [0, 0]], dtype=np.uint64)
+        book = Codebook(alphabet_size=2, codes=codes, lengths=np.array([1, 1]))
+        with pytest.raises(ValueError, match="codes shape"):
             validate_complete(book)
 
-    def test_float_table(self):
-        # leaf_distribution would index the branch probabilities with it
-        book = Codebook(alphabet_size=2, table=np.array([[0.0], [1.0]]), lengths=np.array([1, 1]))
-        with pytest.raises(ValueError, match="integer arrays"):
+    def test_float_codes(self):
+        book = Codebook(alphabet_size=2, codes=np.array([[0.0, 1.0]]), lengths=np.array([1, 1]))
+        with pytest.raises(ValueError, match="uint64"):
             validate_complete(book)
 
     def test_float_lengths(self):
-        book = Codebook(alphabet_size=2, table=np.array([[0], [1]], dtype=np.uint8), lengths=np.array([1.0, 1.0]))
+        book = Codebook(alphabet_size=2, codes=np.array([[0, 1 << 63]], dtype=np.uint64), lengths=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="integer arrays"):
             validate_complete(book)
+
+    # chain(100, 2)'s leaves in order are 0^100, 0^99 1, then 0^(100-k) 1 at row k: row 37 is 64 bits long
+    @pytest.mark.parametrize("row, piece, bit", [(-1, 0, 1), (-1, 1, 63), (0, 1, 36), (37, 1, 0)])
+    def test_bits_past_a_leafs_end(self, row, piece, bit):
+        book = flat_codebook(chain(100, 2), 2)
+        codes, row = book.codes.copy(), row % len(book)
+        codes[piece, row] |= np.uint64(1 << 63 - bit)  # bit 0 is the piece's most significant
+        with pytest.raises(ValueError, match=f"^code {row} has bits set past its leaf's end$"):
+            validate_complete(Codebook(alphabet_size=2, codes=codes, lengths=book.lengths))
 
     def test_ternary(self):
         cb = validate_complete(flat_codebook([(0,), (1,), (2, 0), (2, 1), (2, 2)], 3))
@@ -88,18 +106,22 @@ class TestValidateSkewedCodebook:
         assert peak < skewed_book.table.nbytes / 8
 
     def test_finds_a_duplicate_past_the_first_block(self, skewed_book):
-        table, lengths = skewed_book.table.copy(), skewed_book.lengths.copy()
-        table[3001], lengths[3001] = table[3000], lengths[3000]
+        codes, lengths = skewed_book.codes.copy(), skewed_book.lengths.copy()
+        codes[:, 3001], lengths[3001] = codes[:, 3000], lengths[3000]
         with pytest.raises(CodebookError) as exc:
-            validate_complete(Codebook(alphabet_size=2, table=table, lengths=lengths))
-        assert str(exc.value) == f"duplicate leaf {tuple(table[3000, : lengths[3000]].tolist())}"
+            validate_complete(Codebook(alphabet_size=2, codes=codes, lengths=lengths))
+        assert str(exc.value) == f"duplicate leaf {paths(skewed_book)[3000]}"
 
 
 @st.composite
 def mutated_leaf_sets(draw):
-    """A complete D-ary leaf set grown by random splits, then mutated one to three times."""
-    d = draw(st.integers(min_value=2, max_value=4))
-    leaves = [(a,) for a in range(d)]
+    """A complete D-ary leaf set grown by random splits, then mutated one to three times.
+
+    It may start from a deep chain, so that some leaves cross a 64-bit piece
+    boundary (D = 5 packs 3-bit fields, and one straddles the boundary).
+    """
+    d = draw(st.integers(min_value=2, max_value=5))
+    leaves = chain(draw(st.one_of(st.just(1), st.integers(min_value=20, max_value=70))), d)
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
         x = leaves.pop(draw(st.integers(min_value=0, max_value=len(leaves) - 1)))
         leaves.extend(x + (a,) for a in range(d))
@@ -129,23 +151,46 @@ def outcome(check, *args):
         return None, exc
 
 
+def assert_same_verdict(d, leaves):
+    ref, ref_error = outcome(tuple_validate_complete, leaves, d)
+    book, error = outcome(validate_complete, flat_codebook(leaves, d))
+    assert type(error) is type(ref_error), (leaves, error, ref_error)
+    if isinstance(ref_error, CodebookError):  # the same defect: duplicate, prefix pair or exact deficit
+        assert str(error) == str(ref_error)
+    if ref_error is None:
+        assert paths(book) == ref
+
+
 class TestAgainstTupleReference:
     @settings(max_examples=100)
     @given(mutated_leaf_sets())
     def test_same_verdict_as_tuple_check(self, instance):
-        d, leaves = instance
-        ref, ref_error = outcome(tuple_validate_complete, leaves, d)
-        book, error = outcome(validate_complete, flat_codebook(leaves, d))
-        assert type(error) is type(ref_error), (leaves, error, ref_error)
-        if isinstance(ref_error, CodebookError):  # the same defect: duplicate, prefix pair or exact deficit
-            assert str(error) == str(ref_error)
-        if ref_error is None:
-            assert paths(book) == ref
+        assert_same_verdict(*instance)
+
+    # Chain neighbours first differ at each depth.  For D = 2 at depth 128 that is
+    # bit 63 of piece 0, bit 0 of piece 1 and the lowest bit of the full piece 1;
+    # D = 3 puts symbol 32 at bit 0 of piece 1, and D = 5 splits symbol 21 over both.
+    @pytest.mark.parametrize("d, depth", [(2, 64), (2, 65), (2, 128), (3, 33), (5, 22)])
+    @pytest.mark.parametrize("defect", ["none", "prefix", "duplicate", "drop"])
+    def test_deep_chains_across_piece_boundaries(self, d, depth, defect):
+        leaves, bottom = chain(depth, d), (0,) * (depth - 1)
+        if defect == "prefix":  # the bottom node's first child becomes the node itself
+            leaves[leaves.index(bottom + (0,))] = bottom
+        elif defect == "duplicate":
+            leaves.append(bottom + (1,))
+        elif defect == "drop":
+            leaves.remove(bottom + (d - 1,))
+        assert_same_verdict(d, leaves)
 
     def test_codebook_rows_out_of_order(self):
-        book = Codebook(alphabet_size=2, table=np.array([[1], [0]], dtype=np.uint8), lengths=np.array([1, 1]))
-        with pytest.raises(CodebookError, match="sorts after"):
-            validate_complete(book)
+        # chain(128, 2)'s rows k and k + 1 first differ at bit 127 - k: in piece 1 up to row 63
+        book = flat_codebook(chain(128, 2), 2)
+        for row in (0, 62, 63, 64, 127):
+            order = np.arange(len(book))
+            order[[row, row + 1]] = row + 1, row
+            with pytest.raises(CodebookError) as exc:
+                validate_complete(Codebook(alphabet_size=2, codes=book.codes[:, order], lengths=book.lengths[order]))
+            assert str(exc.value) == f"leaf {paths(book)[row + 1]} sorts after leaf {paths(book)[row]}"
 
 
 class TestLeafDistribution:

@@ -82,7 +82,7 @@ SIZED_CALLS = {
     "product_codebook-D": lambda k: product_codebook(k(2), 2),
     "product_codebook-n": lambda k: product_codebook(2, k(2)),
     "validate_complete": lambda k: validate_complete(
-        Codebook(k(2), np.array([[0], [1]], dtype=np.uint8), np.array([1, 1]))),
+        Codebook(k(2), np.array([[0, 1 << 63]], dtype=np.uint64), np.array([1, 1]))).table,
     "generate_stream": lambda k: generate_stream(build_code(Pmf([0.3, 0.7]), 4, 4), RandomBitSource(1), k(2)),
     "stream": lambda k: next(stream(build_code(Pmf([0.3, 0.7]), 4, 4), RandomBitSource(1), k(2))),
 }

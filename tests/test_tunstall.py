@@ -277,6 +277,16 @@ class TestHeapOracle:
             tracemalloc.stop()
         assert peak <= 3 * ld.codebook.table.nbytes + (1 << 20)
 
+    def test_skewed_build_stays_within_its_derived_table(self):
+        # the build keeps the packed codes; a table unpacked beside them would exceed this
+        tracemalloc.start()
+        try:
+            ld = build_tunstall(Pmf([0.02, 0.98]), 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ld.codebook.table.nbytes
+
     def test_binary_build_stays_near_its_table_size(self):
         # the benchmark sweep's largest build, which sets that workload's peak memory
         tracemalloc.start()
