@@ -64,6 +64,8 @@ def _open_out(path):
         return
     if os.path.isdir(path) or path.endswith(os.sep):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path) and not os.path.isfile(path):  # renaming a file over a FIFO or device would replace it
+        raise ValueError(f"--out {path!r} exists and is not a regular file")
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".rescode-{os.urandom(6).hex()}")
     try:
         handle = open(tmp, "xb")

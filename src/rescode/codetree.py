@@ -33,10 +33,10 @@ class Codebook:
     stands.  ``codes[:, i]`` is leaf i's path, ceil(log2 D) bits per symbol,
     MSB first, left-aligned in the uint64 pieces of a ``[pieces, N]`` array
     and zero past its length ``lengths[i]`` (int64).  Derived on first use:
-    ``table``, the paths as the rows of a zero-padded ``[N, max_len]``
-    matrix in the smallest unsigned dtype that holds D - 1, and ``mask``,
-    its cells that hold a symbol.  All are read-only.  ``leaves`` rebuilds
-    the paths as tuples for the benchmark's oracle.
+    ``pieces``, the codes as [N, pieces] rows and the bits each holds (0 to
+    64), and ``table``, the paths as the rows of an ``[N, max_len]`` matrix
+    in the smallest unsigned dtype that holds D, with D past each leaf's end.
+    All are read-only.  ``leaves`` rebuilds the paths for the benchmark's oracle.
     """
 
     alphabet_size: int
@@ -47,14 +47,13 @@ class Codebook:
         return self.lengths.size
 
     @cached_property
-    def table(self) -> np.ndarray:
-        table = np.empty((len(self), self.max_len()), dtype=np.min_scalar_type(self.alphabet_size - 1))
-        _unpack(self.codes, operator.index(self.alphabet_size - 1).bit_length(), table)
-        return _frozen(table)
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        bits = self.lengths[:, None] * operator.index(self.alphabet_size - 1).bit_length()
+        return _frozen(self.codes.T), _frozen(np.clip(bits - 64 * np.arange(len(self.codes)), 0, 64).astype(np.uint8))
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        return _frozen(np.arange(self.max_len()) < self.lengths[:, None])
+    def table(self) -> np.ndarray:
+        return _frozen(_unpack(self))
 
     @property
     def leaves(self) -> tuple[tuple[int, ...], ...]:
@@ -182,16 +181,22 @@ def _symbol_bits(d: int, j: int, pieces: int) -> np.ndarray:
     return out
 
 
-def _unpack(codes: np.ndarray, width: int, out: np.ndarray) -> None:
-    """Write each path in `codes` ([pieces, rows], see ``_symbol_bits``) to its row, cut to out.shape[1] symbols."""
-    if width > 1:
-        for t, symbols in enumerate(_fields(codes, width, out.shape[1])):
+def _unpack(book: Codebook) -> np.ndarray:
+    """The table: each leaf's path in its row, then D to the row's end, in the smallest unsigned dtype that holds D."""
+    d, codes, lengths, count = operator.index(book.alphabet_size), book.codes, book.lengths, book.max_len()
+    out = np.zeros((len(book), count), dtype=np.min_scalar_type(d))
+    if d > 2:
+        for t, symbols in enumerate(_fields(codes, (d - 1).bit_length(), count)):
             out[:, t] = symbols
-        return
-    step = max(1, (1 << 20) // out.shape[1])  # the bits are the symbols, unpacked in blocks of about 2^20
-    for s in range(0, out.shape[0], step):
-        bits = codes[:, s : s + step].T.astype(">u8", order="C").view(np.uint8)
-        out[s : s + step] = np.unpackbits(bits, axis=1, count=out.shape[1])
+            np.copyto(out[:, t], d, where=lengths <= t)
+        return out
+    # The bits are the symbols; the pad's bits, set past each leaf's end, are added once with them and once alone: 2.
+    step, starts = max(1, (1 << 20) // count), 64 * np.arange(codes.shape[0])  # blocks of about 2^20 cells
+    for s in range(0, len(book), step):
+        pad = ~np.uint64(0) >> np.clip(lengths[s : s + step, None] - starts, 0, 64).astype(np.uint64)
+        for bits in (codes[:, s : s + step].T | pad, pad):
+            out[s : s + step] += np.unpackbits(bits.astype(">u8").view(np.uint8), axis=1, count=count)
+    return out
 
 
 def _fields(codes: np.ndarray, width: int, count: int):

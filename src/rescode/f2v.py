@@ -86,14 +86,6 @@ class ResolutionCode:
         first[first != np.repeat(ids, np.diff(self.cum >> shift))] = n - 1
         return _frozen(first)
 
-    @cached_property
-    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each codeword's pieces, the codebook's ``codes`` seen as [N, P] rows, and their bit counts (0 to 64)."""
-        book = self.codebook
-        width = operator.index(book.alphabet_size - 1).bit_length()
-        held = book.lengths[:, None] * width - 64 * np.arange(book.codes.shape[0])
-        return _frozen(book.codes.T), _frozen(np.clip(held, 0, 64).astype(np.uint8))
-
 
 def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
     """Tunstall codebook of the requested size plus 2^m-type codeword counts."""
@@ -109,8 +101,8 @@ def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
 class StreamResult:
     """Generated codeword indices into ``codebook`` plus the bookkeeping an empirical check needs.
 
-    ``symbols``, the codewords' symbols end to end, and ``leaf_counts``, how
-    often each codeword was drawn, are computed from the indices when first read.
+    ``symbols``, the codewords' table rows end to end less their padding, and
+    ``leaf_counts``, how often each codeword was drawn, are computed when first read.
     """
 
     codebook: Codebook
@@ -124,8 +116,8 @@ class StreamResult:
 
     @cached_property
     def symbols(self) -> np.ndarray:
-        book, idx = self.codebook, self.codewords
-        return np.take(book.table, idx, axis=0)[np.take(book.mask, idx, axis=0)]
+        rows = np.take(self.codebook.table, self.codewords, axis=0)
+        return rows[rows < self.codebook.alphabet_size]
 
 
 class ArrayBitSource:
@@ -233,7 +225,7 @@ def pack_codewords(code: ResolutionCode, codewords: np.ndarray, word: int, bits:
     word it starts in, and the heads of one word are summed (their bits do
     not overlap); a piece that runs past its word puts its tail in the next.
     """
-    values, sizes = code.pieces
+    values, sizes = code.codebook.pieces
     heads = np.concatenate((np.array([word], dtype=np.uint64), values[codewords].reshape(-1)))
     sizes = np.concatenate(([bits], sizes[codewords].reshape(-1)))
     ends = np.cumsum(sizes, dtype=np.int64)

@@ -252,19 +252,25 @@ class TestGenerate:
         leaves = paths(built.codebook)
         assert got.tolist() == [s for i in idx.tolist() for s in leaves[i]]
 
-    @pytest.mark.parametrize("command, unpacks", [
-        (["generate", "--format", "packed", "--out", "{tmp}/sym.bin"], False),
-        (["validate", "--tv-threshold", "1"], False),
-        (["generate", "--format", "text", "--out", "{tmp}/sym.txt"], True),
+    @pytest.mark.parametrize("command, derived", [
+        (["generate", "--format", "packed", "--out", "{tmp}/sym.bin"], {"pieces"}),
+        (["validate", "--tv-threshold", "1"], set()),
+        (["generate", "--format", "text", "--out", "{tmp}/sym.txt"], {"table"}),
     ])
-    def test_only_text_output_derives_the_table(self, capsys, tmp_path, command, unpacks):
-        # packed output and validate read the codes and lengths; only text output builds the padded table
+    def test_only_text_output_derives_the_table(self, capsys, tmp_path, command, derived):
+        # packed output reads the codes as pieces, validate only counts codewords; only text output builds the table
         argv = [arg.format(tmp=tmp_path) for arg in command] + ["--p", "0.5,0.3,0.2", "--m", "12", "--size", "99",
                                                                 "--symbols", "1000", "--seed", "1"]
-        with mock.patch.object(codetree, "_unpack", wraps=codetree._unpack) as unpack:
+        built, build = [], f2v.build_code
+
+        def keep(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        with mock.patch.object(f2v, "build_code", keep):
             code, _, _ = run(capsys, argv)
         assert code == 0
-        assert unpack.called == unpacks
+        assert set(vars(built[0].codebook)) & {"pieces", "table"} == derived
 
     def test_packed_peak_memory_is_bounded(self, capsys, tmp_path):
         # the benchmark's stream_packed code; holding the whole stream would
@@ -501,6 +507,25 @@ class TestUsageErrors:
         assert exit_code(argv + ["--out", f"{target}{slash}"]) == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(target) + slash!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any(target.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "4", "--seed", "1"],
+        ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2"],
+    ], ids=["generate", "curve"])
+    def test_out_naming_a_fifo(self, capsys, monkeypatch, tmp_path, argv):
+        # renaming the written file over the path would replace the FIFO; a device node would go the same way
+        def refuse(*args):
+            raise AssertionError("a code was built or symbols were generated")
+
+        for module, name in ((f2v, "build_code"), (block, "build_block_code"), (f2v, "stream")):
+            monkeypatch.setattr(module, name, refuse)
+        fifo = tmp_path / "f"
+        os.mkfifo(fifo)
+        assert exit_code(argv + ["--out", str(fifo)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out {str(fifo)!r} exists and is not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]  # no .rescode-* file is left
 
     @pytest.mark.parametrize("source", [[], ["--bits-file", "{tmp}/missing"]], ids=["no-seed", "missing-bits-file"])
     def test_bit_source_is_checked_before_the_build(self, capsys, monkeypatch, tmp_path, source):

@@ -159,12 +159,12 @@ class TestInvariants:
         assert np.array_equal(a.counts.counts, b.counts.counts)
 
 
-def hand_made_code(n, m, seed):
+def hand_made_code(n, m, seed, probs=(0.211, 0.789)):
     """Tunstall leaves with random counts summing to 2^m, every fifth one zero.
 
     Constructed directly, because quantize is linear in 2^m.
     """
-    p = Pmf([0.211, 0.789])
+    p = Pmf(list(probs))
     rng = np.random.default_rng(seed)
     weights = rng.random(n)
     weights[::5] = 0
@@ -365,6 +365,12 @@ class TestGuide:
 
     @settings(max_examples=100)
     @given(stream_instances(), st.sampled_from([f2v.GUIDE_BITS, 0, 3]))
+    # the table pads with D in the smallest dtype that holds it: D = 255 fits uint8, 256 and 257 need uint16
+    @example((hand_made_code(509, 10, seed=7, probs=[1 / 255] * 255),), 3)
+    @example((hand_made_code(511, 10, seed=8, probs=[1 / 256] * 256),), f2v.GUIDE_BITS)
+    @example((hand_made_code(513, 10, seed=9, probs=[1 / 257] * 257),), 0)
+    # 4096 leaves up to 542 symbols long: the binary table is unpacked in three blocks of 1934 rows
+    @example((hand_made_code(4096, 13, seed=10, probs=(0.01, 0.99)),), f2v.GUIDE_BITS)
     def test_matches_searchsorted_on_every_boundary_word(self, instance, guide_bits):
         """Each codeword's words cum[i] - 1, cum[i] and cum[i+1] - 1, zero-count codewords included.
 
@@ -382,6 +388,8 @@ class TestGuide:
         idx = interval_map(code, words)
         book = code.codebook
         assert res.symbols.tolist() == [s for i in idx for s in book.table[i, : book.lengths[i]].tolist()]
+        assert res.symbols.dtype == book.table.dtype
+        assert (book.table[np.arange(book.max_len()) >= book.lengths[:, None]] == book.alphabet_size).all()
         assert np.array_equal(res.leaf_counts, np.bincount(idx, minlength=code.num_codewords))
 
 
@@ -493,7 +501,7 @@ def expanded(code, idx) -> np.ndarray:
 class TestPackCodewords:
     def test_long_codewords_take_several_pieces(self):
         code = pack_code("D2-long")
-        values, sizes = code.pieces
+        values, sizes = code.codebook.pieces
         assert values.shape[1] == 3 and code.codebook.max_len() > 128
         assert np.array_equal(sizes.sum(axis=1), code.codebook.lengths)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rescode import (
     Pmf,
+    StreamResult,
     build_tunstall,
     leaf_distribution,
     round_size_down,
@@ -286,6 +287,18 @@ class TestHeapOracle:
         finally:
             tracemalloc.stop()
         assert peak <= ld.codebook.table.nbytes
+
+    def test_text_derives_one_array(self):
+        # the first symbols read builds the table, which marks its own padding: no mask beside it
+        book = build_tunstall(Pmf([0.02, 0.98]), 1 << 16).codebook
+        result = StreamResult(codebook=book, codewords=np.arange(0, len(book), 1024), input_bits=0, output_symbols=0)
+        tracemalloc.start()
+        try:
+            result.symbols
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * book.table.nbytes
 
     def test_binary_build_stays_near_its_table_size(self):
         # the benchmark sweep's largest build, which sets that workload's peak memory
