@@ -252,12 +252,12 @@ class TestGenerate:
         leaves = paths(built.codebook)
         assert got.tolist() == [s for i in idx.tolist() for s in leaves[i]]
 
-    @pytest.mark.parametrize("command, derived", [
-        (["generate", "--format", "packed", "--out", "{tmp}/sym.bin"], {"pieces"}),
-        (["validate", "--tv-threshold", "1"], set()),
-        (["generate", "--format", "text", "--out", "{tmp}/sym.txt"], {"table"}),
+    @pytest.mark.parametrize("command, unpacks", [
+        (["generate", "--format", "packed", "--out", "{tmp}/sym.bin"], False),
+        (["validate", "--tv-threshold", "1"], False),
+        (["generate", "--format", "text", "--out", "{tmp}/sym.txt"], True),
     ])
-    def test_only_text_output_derives_the_table(self, capsys, tmp_path, command, derived):
+    def test_only_text_output_derives_the_table(self, capsys, tmp_path, command, unpacks):
         # packed output reads the codes as pieces, validate only counts codewords; only text output builds the table
         argv = [arg.format(tmp=tmp_path) for arg in command] + ["--p", "0.5,0.3,0.2", "--m", "12", "--size", "99",
                                                                 "--symbols", "1000", "--seed", "1"]
@@ -267,9 +267,12 @@ class TestGenerate:
             built.append(build(*args))
             return built[-1]
 
-        with mock.patch.object(f2v, "build_code", keep):
+        with mock.patch.object(f2v, "build_code", keep), \
+                mock.patch.object(codetree, "_unpack", wraps=codetree._unpack) as unpack:
             code, _, _ = run(capsys, argv)
         assert code == 0
+        assert unpack.called == unpacks
+        derived = {"pieces"} if "packed" in command else {"table"} if unpacks else set()
         assert set(vars(built[0].codebook)) & {"pieces", "table"} == derived
 
     def test_packed_peak_memory_is_bounded(self, capsys, tmp_path):
