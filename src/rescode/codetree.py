@@ -33,10 +33,11 @@ class Codebook:
     stands.  ``codes[:, i]`` is leaf i's path, ceil(log2 D) bits per symbol,
     MSB first, left-aligned in the uint64 pieces of a ``[pieces, N]`` array
     and zero past its length ``lengths[i]`` (int64).  Derived on first use:
-    ``pieces``, the codes as [N, pieces] rows and the bits each holds (0 to
-    64), and ``table``, the paths as the rows of an ``[N, max_len]`` matrix
-    in the smallest unsigned dtype that holds D, with D past each leaf's end.
-    All are read-only.  ``leaves`` rebuilds the paths for the benchmark's oracle.
+    ``pieces``, the codes as C-contiguous [N, pieces] rows (a view for one
+    piece, a copy for more) and the bits each holds (0 to 64), and ``table``,
+    the paths as the rows of an ``[N, max_len]`` matrix in the smallest
+    unsigned dtype that holds D, with D past each leaf's end.  All are
+    read-only.  ``leaves`` rebuilds the paths for the benchmark's oracle.
     """
 
     alphabet_size: int
@@ -49,7 +50,8 @@ class Codebook:
     @cached_property
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
         bits = self.lengths[:, None] * operator.index(self.alphabet_size - 1).bit_length()
-        return _frozen(self.codes.T), _frozen(np.clip(bits - 64 * np.arange(len(self.codes)), 0, 64).astype(np.uint8))
+        sizes = np.clip(bits - 64 * np.arange(len(self.codes)), 0, 64).astype(np.uint8)
+        return _frozen(np.ascontiguousarray(self.codes.T)), _frozen(sizes)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -206,4 +208,5 @@ def _fields(codes: np.ndarray, width: int, count: int):
         word = codes[a] << np.uint64(o)
         if o + width > 64:
             word |= codes[a + 1] >> np.uint64(64 - o)
-        yield (word >> np.uint64(64 - width)).view(np.int64)
+        word >>= np.uint64(64 - width)
+        yield word.view(np.int64)

@@ -222,22 +222,30 @@ def pack_codewords(code: ResolutionCode, codewords: np.ndarray, word: int, bits:
     Returns the whole 64-bit output words as a big-endian uint64 array,
     then the last, partial word and its bit count (< 64), to pass on with
     the next codewords.  Each piece's head is shifted to its offset in the
-    word it starts in, and the heads of one word are summed (their bits do
-    not overlap); a piece that runs past its word puts its tail in the next.
+    word it starts in; the heads of one word do not overlap, so a running
+    sum of the heads, which wraps mod 2^64, gives each word as the sum at
+    its last piece less the sum at the word before.  Only that last piece
+    can run past the word, and its tail goes into the next.
     """
     values, sizes = code.codebook.pieces
-    heads = np.concatenate((np.array([word], dtype=np.uint64), values[codewords].reshape(-1)))
-    sizes = np.concatenate(([bits], sizes[codewords].reshape(-1)))
-    ends = np.cumsum(sizes, dtype=np.int64)
-    starts = ends - sizes
-    total = int(ends[-1])
-    slot, offset = starts >> 6, starts & 63
-    out = np.zeros(total // 64 + 1, dtype=np.uint64)
-    first = np.flatnonzero(np.concatenate(([True], slot[1:] != slot[:-1])))
-    out[slot[first]] = np.add.reduceat(heads >> offset.view(np.uint64), first)
-    cross = np.flatnonzero(offset + sizes > 64)
-    out[slot[cross] + 1] |= heads[cross] << (64 - offset[cross]).view(np.uint64)
-    return out[: total // 64].astype(">u8"), int(out[-1]), total % 64
+    idx, p = np.asarray(codewords, dtype=np.intp), values.shape[1]
+    span = sizes.view(f"V{p}")[:, 0][idx].view(np.uint8)  # one record per codeword; an index out of range raises here
+    heads = np.empty(span.size + 1, dtype=np.uint64)  # cell 0 holds the carried word, cell i + 1 piece i
+    start = heads.view(np.int64)  # first the bit each piece starts at, then the total
+    start[0], start[1:] = bits, span
+    total = int(np.cumsum(start, out=start)[-1])
+    offset = np.bitwise_and(start[:-1], 63, out=np.empty_like(span), casting="unsafe")
+    last = np.flatnonzero(np.add(span, offset, out=span) >= 64) + 1  # the last cell of each whole word
+    heads[0] = word
+    # "wrap" gathers straight into heads where "raise" would gather into a copy first; span's gather checked the indices
+    np.take(values.view(f"V{8 * p}")[:, 0], idx, out=heads[1:].view(f"V{8 * p}"), mode="wrap")
+    tails = heads[last] << (64 - offset[last - 1])  # a shift by 64 gives 0
+    np.right_shift(heads[1:], offset, out=heads[1:])
+    np.cumsum(heads, out=heads)
+    out = np.append(heads[last], heads[-1])
+    out[1:] -= out[:-1]
+    out[1:] |= tails
+    return out[:-1].astype(">u8"), int(out[-1]), total % 64
 
 
 def stream(code: ResolutionCode, bits, min_symbols: int):

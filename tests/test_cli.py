@@ -282,7 +282,7 @@ class TestGenerate:
                 "--seed", "42", "--format", "packed", "--out", str(tmp_path / "sym.bin")]
         code, peak = traced_peak(argv)
         assert code == 0
-        assert peak < 16 * 2**20
+        assert peak < 8 * 2**20
 
     def test_text_peak_memory_is_bounded(self, capsys, tmp_path):
         # the benchmark's stream_text code; formatting one Python str per

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
@@ -28,8 +29,8 @@ from rescode import (
     stream,
     validate_complete,
 )
-from references import (EXHAUSTIVE_BITS, column_words, induced_counts, interval_map, pack_chunks, pack_symbols, paths,
-                        served_bits)
+from references import (EXHAUSTIVE_BITS, column_words, flat_codebook, induced_counts, interval_map, pack_chunks,
+                        pack_symbols, paths, served_bits)
 
 
 def codeword(code, u):
@@ -487,9 +488,13 @@ PACK_CODES = {
 }
 
 
+# the codes of the benchmark's stream_packed and stream_text workloads
+STREAM_CODES = {"stream_packed": ([0.211, 0.789], 3072, 12), "stream_text": ([0.5, 0.3, 0.2], 16385, 16)}
+
+
 @lru_cache(maxsize=None)
 def pack_code(name):
-    p, n, m = PACK_CODES[name]
+    p, n, m = {**PACK_CODES, **STREAM_CODES}[name]
     return build_code(Pmf(p), n, m)
 
 
@@ -504,6 +509,48 @@ class TestPackCodewords:
         values, sizes = code.codebook.pieces
         assert values.shape[1] == 3 and code.codebook.max_len() > 128
         assert np.array_equal(sizes.sum(axis=1), code.codebook.lengths)
+
+    @pytest.mark.parametrize("name", [*PACK_CODES, *STREAM_CODES])
+    def test_pieces_are_contiguous_rows_of_the_codes(self, name):
+        book = pack_code(name).codebook
+        values, sizes = book.pieces
+        assert values.flags.c_contiguous and sizes.flags.c_contiguous
+        assert np.array_equal(values, book.codes.T) and sizes.shape == values.shape and sizes.dtype == np.uint8
+        if len(book.codes) == 1:
+            assert np.shares_memory(values, book.codes)
+
+    def test_piece_major_codes_pack_from_a_row_copy(self):
+        # flat_codebook lays the codes out piece by piece, so pieces copies them into rows
+        code = pack_code("D2-long")
+        book = flat_codebook(paths(code.codebook), 2)
+        values, _ = book.pieces
+        assert values.flags.c_contiguous and not np.shares_memory(values, book.codes)
+        assert np.array_equal(values, code.codebook.pieces[0])
+        idx = np.random.default_rng(2).integers(0, code.num_codewords, size=500)
+        copied = replace(code, target=replace(code.target, codebook=book))
+        assert pack_chunks(copied, [idx[:7], idx[7:]]) == pack_chunks(code, [idx[:7], idx[7:]])
+
+    def test_an_index_out_of_range_raises(self):
+        code = pack_code("D2-long")
+        with pytest.raises(IndexError):
+            f2v.pack_codewords(code, np.array([0, code.num_codewords]), 0, 0)
+
+    @pytest.mark.parametrize("name", list(PACK_CODES))
+    def test_full_chunk_matches_the_symbols_and_leaves_its_inputs_unchanged(self, name):
+        # a whole STREAM_CHUNK_WORDS chunk between two short ones: the wrapped running sum spans every word of it
+        code = pack_code(name)
+        values, sizes = (a.copy() for a in code.codebook.pieces)
+        codes, source = code.codebook.codes.copy(), RandomBitSource(5)
+        chunks = [generate_stream(code, source, k) for k in (1, f2v.STREAM_CHUNK_WORDS, 2)]
+        # the guide's narrow dtype, and intp, which pack_codewords indexes with as it is
+        idx = [chunks[0].codewords, chunks[1].codewords.astype(np.intp), chunks[2].codewords]
+        drawn = [a.copy() for a in idx]
+        got, _ = pack_chunks(code, idx)
+        symbols = np.concatenate([chunk.symbols for chunk in chunks])
+        assert got == pack_symbols(symbols, code.codebook.alphabet_size)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(idx, drawn))
+        assert np.array_equal(code.codebook.codes, codes)
+        assert np.array_equal(code.codebook.pieces[0], values) and np.array_equal(code.codebook.pieces[1], sizes)
 
     @pytest.mark.parametrize("name", list(PACK_CODES))
     @settings(max_examples=40, deadline=None)
