@@ -30,14 +30,14 @@ class Codebook:
     """A complete prefix-free codebook over D symbols, its leaves sorted.
 
     Constructing one checks nothing; ``validate_complete`` checks one as it
-    stands.  ``codes[:, i]`` is leaf i's path, ceil(log2 D) bits per symbol,
-    MSB first, left-aligned in the uint64 pieces of a ``[pieces, N]`` array
-    and zero past its length ``lengths[i]`` (int64).  Derived on first use:
-    ``pieces``, the codes as C-contiguous [N, pieces] rows (a view for one
-    piece, a copy for more) and the bits each holds (0 to 64), and ``table``,
-    the paths as the rows of an ``[N, max_len]`` matrix in the smallest
-    unsigned dtype that holds D, with D past each leaf's end.  All are
-    read-only.  ``leaves`` rebuilds the paths for the benchmark's oracle.
+    stands.  ``codes[i]`` is leaf i's path, ceil(log2 D) bits per symbol, MSB
+    first, left-aligned in the uint64 pieces of an ``[N, pieces]`` array and
+    zero past its length ``lengths[i]`` (int64); the library builds them
+    C-contiguous.  Derived on first use: ``pieces``, the codes as C-contiguous
+    rows (a view of C-contiguous codes) and the bits each piece holds (0 to
+    64), and ``table``, the paths as the rows of an ``[N, max_len]`` matrix in
+    the smallest unsigned dtype that holds D, with D past each leaf's end.
+    All are read-only.  ``leaves`` rebuilds the paths for the benchmark's oracle.
     """
 
     alphabet_size: int
@@ -49,9 +49,11 @@ class Codebook:
 
     @cached_property
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        bits = self.lengths[:, None] * operator.index(self.alphabet_size - 1).bit_length()
-        sizes = np.clip(bits - 64 * np.arange(len(self.codes)), 0, 64).astype(np.uint8)
-        return _frozen(np.ascontiguousarray(self.codes.T)), _frozen(sizes)
+        bits = self.lengths * operator.index(self.alphabet_size - 1).bit_length()
+        sizes = np.empty(self.codes.shape, dtype=np.uint8)
+        for j in range(sizes.shape[1]):  # one int64 column at a time
+            sizes[:, j] = np.clip(bits - 64 * j, 0, 64)
+        return _frozen(np.ascontiguousarray(self.codes).view()), _frozen(sizes)  # freezes no caller's array
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -87,8 +89,8 @@ def validate_complete(book: Codebook) -> Codebook:
     """Check a Codebook as it stands, codes in the given order, and return it.
 
     Raises ValueError for a malformed codebook: an alphabet under 2 symbols,
-    codes that are not uint64 or not ceil(max_len * ceil(log2 D) / 64) pieces
-    by N, lengths that are not integers or under 1, no leaves, a bit set past
+    codes that are not uint64 or not N by ceil(max_len * ceil(log2 D) / 64)
+    pieces, lengths that are not integers or under 1, no leaves, a bit set past
     a leaf's end or a symbol field outside [0, D); and CodebookError, naming
     the duplicate leaf, the prefix pair, the leaves out of order or the exact
     rational Kraft deficit, when the leaves are not a sorted complete
@@ -104,24 +106,24 @@ def validate_complete(book: Codebook) -> Codebook:
     if lengths.min() < 1:
         raise ValueError("leaf paths must have length at least 1")
     width, n = (d - 1).bit_length(), lengths.size
-    if codes.shape != (pieces := -(-book.max_len() * width // 64), n):
-        raise ValueError(f"codes shape {codes.shape} is not (pieces, N) = ({pieces}, {n})")
+    if codes.shape != (n, pieces := -(-book.max_len() * width // 64)):
+        raise ValueError(f"codes shape {codes.shape} is not (N, pieces) = ({n}, {pieces})")
     # Each leaf must sort strictly before the next and not be its prefix: cut to the shorter leaf's bits,
-    # its code is the smaller.  In sorted order a prefix pair, if any, is adjacent.  Piece j holds bits
+    # its code is the smaller.  In sorted order a prefix pair, if any, is adjacent.  Column j holds bits
     # 64j to 64j + 63 of each path, and a shift by 64 gives 0.
     bits = lengths * width
     both, less = np.minimum(bits[:-1], bits[1:]), False
     for j in range(pieces - 1, -1, -1):  # the first differing piece decides, so it is compared last
-        if (past := codes[j] << np.clip(bits - 64 * j, 0, 64).astype(np.uint64) != 0).any():
+        if (past := codes[:, j] << np.clip(bits - 64 * j, 0, 64).astype(np.uint64) != 0).any():
             raise ValueError(f"code {int(past.argmax())} has bits set past its leaf's end")
         drop = np.clip(64 * (j + 1) - both, 0, 64).astype(np.uint64)
-        x, y = codes[j, :-1] >> drop, codes[j, 1:] >> drop
+        x, y = codes[:-1, j] >> drop, codes[1:, j] >> drop
         less = (x < y) | (x == y) & less
     if d & (d - 1) and max(field.max() for field in _fields(codes, width, book.max_len())) >= d:
         raise ValueError(f"leaves contain symbols outside [0, {d})")  # a field holds up to 2^width - 1
     if not less.all():
         i = int(less.argmin())
-        rows = np.array(list(_fields(codes[:, i : i + 2], width, int(lengths[i : i + 2].max())))).T
+        rows = np.array(list(_fields(codes[i : i + 2], width, int(lengths[i : i + 2].max())))).T
         a, b = (tuple(rows[r, : lengths[i + r]].tolist()) for r in (0, 1))
         if a == b:
             raise CodebookError(f"duplicate leaf {a}")
@@ -167,7 +169,7 @@ def product_codebook(alphabet_size: int, n: int) -> Codebook:
         raise ValueError(f"product codebook would have D^n = {d}^{n} leaves, above the cap {MAX_PRODUCT_LEAVES}")
     codes = np.zeros((1, 1), dtype=np.uint64)
     for j in range(n):  # D^n <= 2^20 keeps n * ceil(log2 D) <= 24 bits: one piece
-        codes = (codes[:, :, None] | _symbol_bits(d, j, 1).T[:, None]).reshape(1, -1)
+        codes = (codes[:, None] | _symbol_bits(d, j, 1)).reshape(-1, 1)
     return Codebook(alphabet_size=d, codes=_frozen(codes), lengths=_frozen(np.full(d**n, n, dtype=np.int64)))
 
 
@@ -193,20 +195,20 @@ def _unpack(book: Codebook) -> np.ndarray:
             np.copyto(out[:, t], d, where=lengths <= t)
         return out
     # The bits are the symbols; the pad's bits, set past each leaf's end, are added once with them and once alone: 2.
-    step, starts = max(1, (1 << 20) // count), 64 * np.arange(codes.shape[0])  # blocks of about 2^20 cells
+    step, starts = max(1, (1 << 20) // count), 64 * np.arange(codes.shape[1])  # blocks of about 2^20 cells
     for s in range(0, len(book), step):
         pad = ~np.uint64(0) >> np.clip(lengths[s : s + step, None] - starts, 0, 64).astype(np.uint64)
-        for bits in (codes[:, s : s + step].T | pad, pad):
+        for bits in (codes[s : s + step] | pad, pad):
             out[s : s + step] += np.unpackbits(bits.astype(">u8").view(np.uint8), axis=1, count=count)
     return out
 
 
 def _fields(codes: np.ndarray, width: int, count: int):
-    """Symbols 0 to count - 1 of the paths in `codes` ([pieces, rows]) as int64 rows, which numpy indexes with as is."""
+    """Symbols 0 to count - 1 of the paths in `codes` ([rows, pieces]), int64 arrays that numpy indexes with as is."""
     for t in range(count):
         a, o = divmod(t * width, 64)
-        word = codes[a] << np.uint64(o)
+        word = codes[:, a] << np.uint64(o)
         if o + width > 64:
-            word |= codes[a + 1] >> np.uint64(64 - o)
+            word |= codes[:, a + 1] >> np.uint64(64 - o)
         word >>= np.uint64(64 - width)
         yield word.view(np.int64)

@@ -64,19 +64,18 @@ def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # below a cutoff under 1/N needs no children.
     k = (n - d) // (d - 1)
     cutoff = (1 - 1e-9) / n
-    fronts, probs = _grow(pv, k, cutoff)
-    if np.count_nonzero(np.concatenate(probs) >= cutoff) < k:  # never seen; the running bound alone is safe
-        fronts, probs = _grow(pv, k, 0.0)
-    internal = _internal(fronts, probs, k)
+    fronts, probs, kth = _grow(pv, k, cutoff)
+    if kth < cutoff:  # fewer than k grown nodes reach the cutoff: never seen; the running bound alone is safe
+        fronts, probs, kth = _grow(pv, k, 0.0)
+    internal = _internal(fronts, probs, k, kth)
     leaf = [~internal[0]] + [np.repeat(internal[j - 1][fronts[j]], d) & ~internal[j] for j in range(1, len(probs))]
     depth = max(j for j, level in enumerate(leaf, 1) if level.any())
     # Level j's tree nodes are the D children of each internal node above, in
     # order: the parent's code ORed with each symbol.  The level's leaves are
     # written after those of the levels above, and its internal nodes' codes go
     # on to the next level.  No leaf is a prefix of another, so the left-aligned
-    # codes are distinct and sort as the paths do; stored piece by piece, each
-    # of lexsort's keys is contiguous, and numpy's gather by the sort order
-    # then lays each leaf's pieces side by side, as ``pieces`` reads them.
+    # codes are distinct and sort as the paths do.  Stored piece by piece, each
+    # of lexsort's keys is contiguous; the sorted codes are returned leaf by leaf.
     pieces = -(-depth * width // 64)
     codes, front = np.empty((pieces, n), dtype=np.uint64), np.zeros((pieces, 1), dtype=np.uint64)
     lengths, leaf_probs, start = np.empty(n, dtype=np.int64), np.empty(n), 0
@@ -86,30 +85,27 @@ def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         codes[:, start:end], lengths[start:end], leaf_probs[start:end] = nodes[:, ~inner], j + 1, probs[j][here]
         front, start = nodes[:, inner], end
     order = np.lexsort(codes[::-1])
-    return codes[:, order], lengths[order], leaf_probs[order]
+    return np.ascontiguousarray(codes[:, order].T), lengths[order], leaf_probs[order]
 
 
-def _internal(fronts: list, probs: list, k: int) -> list:
+def _internal(fronts: list, probs: list, k: int, kth: float) -> list:
     """Per level, which grown nodes are among the k that the greedy split: the k smallest (-prob, path) keys."""
     d, width = probs[0].size, (probs[0].size - 1).bit_length()
     ends = np.cumsum([q.size for q in probs])
     flat = np.concatenate(probs)
-    internal = np.zeros(flat.size, dtype=bool)
-    if k:  # likelier than the k-th largest probability, or tied with it on a smaller path
-        kth = np.partition(flat, flat.size - k)[flat.size - k]
-        internal, tied = flat > kth, np.flatnonzero(flat == kth)
-        if (need := k - np.count_nonzero(internal)) < tied.size:
-            # Pack the few tied nodes' paths by walking each up to the root.  A prefix
-            # packs like its extensions cut short, so among equal codes the shorter goes first.
-            level = np.searchsorted(ends, tied, side="right")
-            node = tied - (ends - [q.size for q in probs])[level]
-            code = np.zeros((tied.size, -(-(int(level.max()) + 1) * width // 64)), dtype=np.uint64)
-            for j in range(int(level.max()), -1, -1):
-                on = level >= j
-                code[on] |= _symbol_bits(d, j, code.shape[1])[node[on] % d]
-                node[on] = fronts[j][node[on] // d]
-            tied = tied[np.lexsort((level, *code.T[::-1]))[:need]]
-        internal[tied] = True
+    internal, tied = flat > kth, np.flatnonzero(flat == kth)  # likelier than kth, or tied with it on a smaller path
+    if (need := k - np.count_nonzero(internal)) < tied.size:
+        # Pack the few tied nodes' paths by walking each up to the root.  A prefix
+        # packs like its extensions cut short, so among equal codes the shorter goes first.
+        level = np.searchsorted(ends, tied, side="right")
+        node = tied - (ends - [q.size for q in probs])[level]
+        code = np.zeros((tied.size, -(-(int(level.max()) + 1) * width // 64)), dtype=np.uint64)
+        for j in range(int(level.max()), -1, -1):
+            on = level >= j
+            code[on] |= _symbol_bits(d, j, code.shape[1])[node[on] % d]
+            node[on] = fronts[j][node[on] // d]
+        tied = tied[np.lexsort((level, *code.T[::-1]))[:need]]
+    internal[tied] = True
     return np.split(internal, ends[:-1])
 
 
@@ -119,7 +115,7 @@ def _grow(pv: np.ndarray, k: int, cutoff: float):
     Node i of level j is symbol i mod D below node fronts[j][i // D]; level 0's
     front is the root.  A node gets children down to depth k + 1 while its
     probability is at least the cutoff and the k-th largest generated so far,
-    a lower bound of the tree's.
+    a lower bound of the tree's.  The k-th largest of all nodes grown comes last.
     """
     fronts, probs = [np.zeros(1, dtype=np.int64)], [pv]
     best, fresh, count, bound = np.empty(0), [pv], pv.size, cutoff
@@ -134,4 +130,6 @@ def _grow(pv: np.ndarray, k: int, cutoff: float):
         probs.append((probs[-1][front, None] * pv).ravel())
         fresh.append(probs[-1])
         count += probs[-1].size
-    return fronts, probs
+    if count < k:  # fewer than k grew, and a negative partition index would count from the end
+        return fronts, probs, -np.inf
+    return fronts, probs, np.partition(np.concatenate([best, *fresh]), count - k)[count - k] if k else np.inf

@@ -5,9 +5,9 @@ check both work on flat arrays there, min_type_order takes one gcd,
 quantize bisects a cost threshold and sorts only the levels near it
 (heap_quantize pops one unit at a time from a heap with one entry per
 symbol, and brute_force_quantize enumerates every composition), codebooks are
-held as packed codes and lengths (paths turns them back into tuples
-through the derived table, flat_codebook packs leaf paths into one with
-Python ints), the CLI writes text output as
+held as packed codes and lengths (paths decodes the codes back into
+tuples without the library's unpacking, flat_codebook packs leaf paths
+into one with Python ints), the CLI writes text output as
 one byte array per chunk and packed output straight from codeword
 indices (pack_symbols packs expanded symbols instead), and the stream
 cuts its words from packed bytes and maps them through its guide table.
@@ -58,8 +58,15 @@ def heap_tunstall(pv, n: int):
 
 
 def paths(book) -> tuple[tuple[int, ...], ...]:
-    """A codebook's leaf paths as a tuple of tuples, in row order, from its table and lengths."""
-    return tuple(tuple(row[:n].tolist()) for row, n in zip(book.table, book.lengths))
+    """A codebook's leaf paths as a tuple of tuples, in row order, decoded from its codes and lengths.
+
+    Each row of codes is unpacked to bits from its big-endian bytes, and each
+    ceil(log2 D) bits of it, MSB first, are folded into one symbol.
+    """
+    width = (book.alphabet_size - 1).bit_length()
+    weights = 1 << np.arange(width - 1, -1, -1)
+    rows = np.unpackbits(book.codes.astype(">u8", order="C").view(np.uint8), axis=1)
+    return tuple(tuple((row[: n * width].reshape(n, width) @ weights).tolist()) for row, n in zip(rows, book.lengths))
 
 
 def flat_codebook(leaves, d: int) -> Codebook:
@@ -71,12 +78,12 @@ def flat_codebook(leaves, d: int) -> Codebook:
     leaves, width = sorted(tuple(x) for x in leaves), (d - 1).bit_length()
     lengths = np.array([len(x) for x in leaves], dtype=np.int64)
     pieces = -(-max(map(len, leaves), default=0) * width // 64)
-    codes = np.zeros((pieces, len(leaves)), dtype=np.uint64)
+    codes = np.zeros((len(leaves), pieces), dtype=np.uint64)
     for i, x in enumerate(leaves):
         if not all(0 <= s < 1 << width for s in x):
             raise ValueError(f"path {x} has a symbol that does not fit {width} bits")
         value = sum(s << (64 * pieces - width * (t + 1)) for t, s in enumerate(x))
-        codes[:, i] = np.frombuffer(value.to_bytes(8 * pieces, "big"), dtype=">u8")
+        codes[i] = np.frombuffer(value.to_bytes(8 * pieces, "big"), dtype=">u8")
     return Codebook(alphabet_size=d, codes=codes, lengths=lengths)
 
 

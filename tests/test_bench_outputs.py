@@ -1,8 +1,11 @@
-"""The benchmark's pinned outputs, made in-process by the commands its workloads run.
+"""The benchmark's pinned outputs, made in-process by the commands its workloads run, and its trace's wrapping.
 
 bench/run.py is imported read-only for its workload commands, and the
 digests come from bench/reference.json: the sweep's two CSVs and seed 42
-of each stream.
+of each stream.  bench/test_bench.py is imported read-only for its check
+that the trace wraps every binding of each traced function: the trace
+finds them by module and name, so a function renamed or moved in src/
+would break every traced run.
 """
 
 import hashlib
@@ -29,6 +32,18 @@ def workloads():
         yield module.WORKLOADS
     finally:
         del sys.modules[spec.name]
+
+
+def test_the_trace_wraps_every_binding_of_a_traced_function(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the bench tests put bench/ and src/ on the path
+    spec = importlib.util.spec_from_file_location("bench_test_bench", BENCH / "test_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)  # imports bench/child.py and bench/run.py as child and run
+        module.test_every_binding_of_a_traced_function_is_wrapped()
+    finally:
+        for name in ("child", "run"):
+            sys.modules.pop(name, None)
 
 
 @pytest.mark.parametrize("name", ["sweep", "stream_packed", "stream_text"])

@@ -54,24 +54,32 @@ class TestValidateComplete:
 
     def test_negative_symbol(self):
         # signed pieces would shift their sign bit in as they are unpacked
-        book = Codebook(alphabet_size=2, codes=np.array([[0, -(1 << 63)]]), lengths=np.array([1, 1]))
+        book = Codebook(alphabet_size=2, codes=np.array([[0], [-(1 << 63)]]), lengths=np.array([1, 1]))
         with pytest.raises(ValueError, match="uint64"):
             validate_complete(book)
 
     def test_codes_wider_than_longest_leaf(self):
         # the stream's pieces would carry a piece that no leaf reaches
-        codes = np.array([[0, 1 << 63], [0, 0]], dtype=np.uint64)
+        codes = np.array([[0, 0], [1 << 63, 0]], dtype=np.uint64)
         book = Codebook(alphabet_size=2, codes=codes, lengths=np.array([1, 1]))
         with pytest.raises(ValueError, match="codes shape"):
             validate_complete(book)
 
+    def test_piece_major_codes(self):
+        # the transpose, [pieces, N]: each reader takes leaf i's pieces from row i
+        book = flat_codebook(chain(100, 2), 2)
+        codes = np.ascontiguousarray(book.codes.T)
+        with pytest.raises(ValueError, match=r"^codes shape \(2, 101\) is not \(N, pieces\) = \(101, 2\)$"):
+            validate_complete(Codebook(alphabet_size=2, codes=codes, lengths=book.lengths))
+
     def test_float_codes(self):
-        book = Codebook(alphabet_size=2, codes=np.array([[0.0, 1.0]]), lengths=np.array([1, 1]))
+        book = Codebook(alphabet_size=2, codes=np.array([[0.0], [1.0]]), lengths=np.array([1, 1]))
         with pytest.raises(ValueError, match="uint64"):
             validate_complete(book)
 
     def test_float_lengths(self):
-        book = Codebook(alphabet_size=2, codes=np.array([[0, 1 << 63]], dtype=np.uint64), lengths=np.array([1.0, 1.0]))
+        codes = np.array([[0], [1 << 63]], dtype=np.uint64)
+        book = Codebook(alphabet_size=2, codes=codes, lengths=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="integer arrays"):
             validate_complete(book)
 
@@ -80,7 +88,7 @@ class TestValidateComplete:
     def test_bits_past_a_leafs_end(self, row, piece, bit):
         book = flat_codebook(chain(100, 2), 2)
         codes, row = book.codes.copy(), row % len(book)
-        codes[piece, row] |= np.uint64(1 << 63 - bit)  # bit 0 is the piece's most significant
+        codes[row, piece] |= np.uint64(1 << 63 - bit)  # bit 0 is the piece's most significant
         with pytest.raises(ValueError, match=f"^code {row} has bits set past its leaf's end$"):
             validate_complete(Codebook(alphabet_size=2, codes=codes, lengths=book.lengths))
 
@@ -107,7 +115,7 @@ class TestValidateSkewedCodebook:
 
     def test_finds_a_duplicate_past_the_first_block(self, skewed_book):
         codes, lengths = skewed_book.codes.copy(), skewed_book.lengths.copy()
-        codes[:, 3001], lengths[3001] = codes[:, 3000], lengths[3000]
+        codes[3001], lengths[3001] = codes[3000], lengths[3000]
         with pytest.raises(CodebookError) as exc:
             validate_complete(Codebook(alphabet_size=2, codes=codes, lengths=lengths))
         assert str(exc.value) == f"duplicate leaf {paths(skewed_book)[3000]}"
@@ -189,7 +197,7 @@ class TestAgainstTupleReference:
             order = np.arange(len(book))
             order[[row, row + 1]] = row + 1, row
             with pytest.raises(CodebookError) as exc:
-                validate_complete(Codebook(alphabet_size=2, codes=book.codes[:, order], lengths=book.lengths[order]))
+                validate_complete(Codebook(alphabet_size=2, codes=book.codes[order], lengths=book.lengths[order]))
             assert str(exc.value) == f"leaf {paths(book)[row + 1]} sorts after leaf {paths(book)[row]}"
 
 
@@ -261,7 +269,7 @@ class TestProductCodebook:
 
     def test_depth12(self):
         cb = product_codebook(2, 12)
-        assert len(cb) == 4096
+        assert len(cb) == 4096 and cb.codes.shape == (4096, 1) and cb.codes.flags.c_contiguous
         assert all(len(x) == 12 for x in paths(cb))
 
     def test_size_cap(self):

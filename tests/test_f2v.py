@@ -83,7 +83,7 @@ SIZED_CALLS = {
     "product_codebook-D": lambda k: product_codebook(k(2), 2),
     "product_codebook-n": lambda k: product_codebook(2, k(2)),
     "validate_complete": lambda k: validate_complete(
-        Codebook(k(2), np.array([[0, 1 << 63]], dtype=np.uint64), np.array([1, 1]))).table,
+        Codebook(k(2), np.array([[0], [1 << 63]], dtype=np.uint64), np.array([1, 1]))).table,
     "generate_stream": lambda k: generate_stream(build_code(Pmf([0.3, 0.7]), 4, 4), RandomBitSource(1), k(2)),
     "stream": lambda k: next(stream(build_code(Pmf([0.3, 0.7]), 4, 4), RandomBitSource(1), k(2))),
 }
@@ -514,16 +514,32 @@ class TestPackCodewords:
     def test_pieces_are_contiguous_rows_of_the_codes(self, name):
         book = pack_code(name).codebook
         values, sizes = book.pieces
-        assert values.flags.c_contiguous and sizes.flags.c_contiguous
-        assert np.array_equal(values, book.codes.T) and sizes.shape == values.shape and sizes.dtype == np.uint8
-        if len(book.codes) == 1:
-            assert np.shares_memory(values, book.codes)
+        assert book.codes.flags.c_contiguous and values.flags.c_contiguous and sizes.flags.c_contiguous
+        assert np.array_equal(values, book.codes) and sizes.shape == values.shape and sizes.dtype == np.uint8
+        assert np.shares_memory(values, book.codes)
+
+    @pytest.mark.parametrize("name", [*PACK_CODES, *STREAM_CODES])
+    def test_table_rows_cut_at_the_lengths_are_the_paths(self, name):
+        book = pack_code(name).codebook
+        assert tuple(tuple(row[:n].tolist()) for row, n in zip(book.table, book.lengths)) == paths(book)
+
+    def test_first_pieces_read_traces_little_beyond_the_sizes(self):
+        book = build_tunstall(Pmf([0.02, 0.98]), 1 << 16).codebook  # 7 pieces
+        tracemalloc.start()
+        try:
+            _, sizes = book.pieces
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sizes.nbytes + 32 * len(book)  # a few int64 columns, no int64 array of every piece
 
     def test_piece_major_codes_pack_from_a_row_copy(self):
-        # flat_codebook lays the codes out piece by piece, so pieces copies them into rows
+        # codes in Fortran order lie piece by piece in memory, so pieces copies them into rows
         code = pack_code("D2-long")
         book = flat_codebook(paths(code.codebook), 2)
+        book = replace(book, codes=np.asfortranarray(book.codes))
         values, _ = book.pieces
+        assert book.codes.shape[1] > 1 and not book.codes.flags.c_contiguous
         assert values.flags.c_contiguous and not np.shares_memory(values, book.codes)
         assert np.array_equal(values, code.codebook.pieces[0])
         idx = np.random.default_rng(2).integers(0, code.num_codewords, size=500)

@@ -206,7 +206,8 @@ class TestProperties:
         keys = [(-q, path) for level, prob in zip(nodes, probs) for q, path in zip(prob.tolist(), level)]
         expected = np.zeros(len(keys), dtype=bool)
         expected[sorted(range(len(keys)), key=keys.__getitem__)[:k]] = True
-        assert np.array_equal(np.concatenate(tunstall._internal(fronts, probs, k)), expected)
+        kth = sorted(np.concatenate(probs).tolist(), reverse=True)[k - 1]  # as _grow returns it
+        assert np.array_equal(np.concatenate(tunstall._internal(fronts, probs, k, kth)), expected)
 
 
 @st.composite
