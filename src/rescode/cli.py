@@ -125,15 +125,14 @@ def _code_and_bits(args):
     return f2v.build_code(args.p, args.size, args.m), source
 
 
-def _text_lines(symbols: np.ndarray) -> bytes:
+def _text_lines(symbols: np.ndarray) -> memoryview:
     # one ASCII digit per symbol, and a newline after every 64th symbol and after the last:
-    # digits padded with newlines to whole lines, a newline column, cut after the last digit's newline
-    lines = -(-symbols.size // 64)
-    digits = np.full(lines * 64, 10, dtype=np.uint8)
-    digits[: symbols.size] = symbols + 48
-    rows = np.full((lines, 65), 10, dtype=np.uint8)
-    rows[:, :64] = digits.reshape(lines, 64)
-    return rows.reshape(-1)[: symbols.size + lines].tobytes()
+    # whole lines, then the partial one, into newline-filled rows of 65, cut after the last digit's newline
+    whole, rem = divmod(symbols.size, 64)
+    rows = np.full((whole + (rem > 0), 65), 10, dtype=np.uint8)
+    np.add(symbols[: 64 * whole].reshape(whole, 64), 48, out=rows[:whole, :64])
+    np.add(symbols[64 * whole :], 48, out=rows[whole:, :rem])
+    return memoryview(rows.reshape(-1)[: symbols.size + rows.shape[0]])
 
 
 def cmd_generate(args, out) -> int:
@@ -148,14 +147,16 @@ def cmd_generate(args, out) -> int:
     for chunk in f2v.stream(code, source, args.symbols):
         input_bits += chunk.input_bits
         output_symbols += chunk.output_symbols
-        if text:
-            symbols = np.concatenate((carry, chunk.symbols))
-            whole = symbols.size - symbols.size % 64
-            out.write(_text_lines(symbols[:whole]))
-            carry = symbols[whole:]
+        if text:  # complete the carried line from the chunk's head, then write the chunk's whole lines from a view
+            head = min(64 - carry.size, chunk.symbols.size)
+            line, rest = np.concatenate((carry, chunk.symbols[:head])), chunk.symbols[head:]
+            whole = rest.size - rest.size % 64
+            out.write(_text_lines(line[: line.size - line.size % 64]))
+            out.write(_text_lines(rest[:whole]))
+            carry = line if line.size % 64 else rest[whole:]
         else:
             words, word, bits = f2v.pack_codewords(code, chunk.codewords, word, bits)
-            out.write(words.tobytes())
+            out.write(words)
     out.write(_text_lines(carry) if text else word.to_bytes(8, "big")[: -(-bits // 8)])
 
     rate = input_bits / output_symbols if output_symbols else math.nan

@@ -242,10 +242,15 @@ def pack_codewords(code: ResolutionCode, codewords: np.ndarray, word: int, bits:
     tails = heads[last] << (64 - offset[last - 1])  # a shift by 64 gives 0
     np.right_shift(heads[1:], offset, out=heads[1:])
     np.cumsum(heads, out=heads)
-    out = np.append(heads[last], heads[-1])
+    out = np.empty(last.size + 1, dtype=np.uint64)  # the running sum at each whole word's last piece, then the total
+    np.take(heads, last, out=out[:-1], mode="clip")  # last is in range: "raise" would gather into a copy first
+    out[-1] = heads[-1]
     out[1:] -= out[:-1]
     out[1:] |= tails
-    return out[:-1].astype(">u8"), int(out[-1]), total % 64
+    words = out[:-1].view(">u8")  # made big-endian in place
+    if np.little_endian:
+        words.byteswap(inplace=True)
+    return words, int(out[-1]), total % 64
 
 
 def stream(code: ResolutionCode, bits, min_symbols: int):
