@@ -93,9 +93,10 @@ def cmd_curve(args, out) -> int:
         m_values = sorted(set(args.m))
         pairs = [(m, n) for m in m_values for n in sorted(set(args.n_list or ()))]
     schemes = sorted(set(args.schemes.split(",")))
-    for s in schemes:
-        if s not in ("f2v", "b2b"):
-            raise ValueError(f"unknown scheme {s!r}")
+    if unknown := [s for s in schemes if s not in ("f2v", "b2b")]:
+        raise ValueError(f"unknown scheme {unknown[0]!r}")
+    if args.extra_size and "f2v" not in schemes:
+        raise ValueError("--extra-size sets f2v codebook sizes, but --schemes has no f2v")
 
     d = p.alphabet_size
     points = [("b2b", m, n) for m, n in pairs] if "b2b" in schemes else []

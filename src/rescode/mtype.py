@@ -1,33 +1,26 @@
 """KL-optimal M-type quantization of a probability vector.
 
-``quantize`` returns the counts of the greedy that allocates M integer
-units over the support of q, one at a time, to the symbol with the
-smallest marginal divergence cost.  Marginal costs of a separable convex
-objective are increasing, so the greedy allocation is a global minimizer.
-Allocation is additionally capped at counts[a] <= floor(M*q[a]) + 1 so
-that the output always satisfies counts[a]/M <= q[a] + 1/M; the
-unconstrained optimum can break that bound for very lopsided q (one
-dominant atom plus near-zero atoms), and the bound is part of this
-module's contract.  Unit c+1 costs ln(c+1) + c*log1p(1/c) - ln(M q_a),
-the stable form of (c+1)ln(c+1) - c ln c - ln(M q_a), which cancels above
-about c = 1e9.  Three steps find the greedy's units, the M cheapest in
-(cost, symbol) order, at a cost that does not grow with M: a threshold
-start (a bisected Lagrange threshold, and in numpy each value's number of
-units below it, clipped to the cap in int64 so that it stays exact above
-M q = 2^53), an exact boundary check (costs within a few ulps of the
-threshold are recomputed with ``math.log``) and a finish by one sorted
-pass.  Atoms of one value share their unit costs, so the rest go out in
-(running max of the value's costs, atom, level) order: the band's levels
-are sorted by that key, every level keyed below the group that holds the
-last unit goes to every atom of its value at once, and only that group,
-cut short, is handed out atom by atom.
+``quantize`` returns the counts of the greedy that allocates M integer units
+over the support of q, one at a time, to the symbol with the smallest marginal
+divergence cost (a global minimizer, as the costs of a separable convex
+objective increase), capped at floor(M*q[a]) + 1 so that the contract
+counts[a]/M <= q[a] + 1/M holds, which the unconstrained optimum breaks for
+lopsided q.  Unit c+1 costs ln(c+1) + c*log1p(1/c) - ln(M q_a), the stable
+form of (c+1)ln(c+1) - c ln c - ln(M q_a), which cancels above about c = 1e9;
+atoms of one value share it.  Per value a bracket of levels holds the greedy's
+last unit, in closed form (a cost bound and the cap) while every count is below
+about 1e12, where costs are exact; past that, or beyond 2^14 levels, by
+bisecting a Lagrange threshold, with units counted in numpy and clipped to the
+cap in int64.  One finish keys the levels in numpy, those near the cut again
+with ``math.log``, and hands them out whole per value but for the last group
+of equal keys, which goes atom by atom.  No step's cost grows with M.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -50,7 +43,10 @@ def quantize(q, m_units: int) -> TypedPmf:
         raise ValueError("number of units must be an integer in [1, 2^62]")
     mq = m * checked_probs(as_prob_vector(q))
     support = np.flatnonzero(mq > 0)
-    x, cls, size = np.unique(mq[support], return_inverse=True, return_counts=True)  # equal M q_a, equal costs
+    bits = mq[support].view(np.int64)  # M q_a > 0 sorts as its bit pattern does, and integers compare faster
+    x = np.sort(bits)
+    x = x[np.concatenate(([True], x[1:] > x[:-1]))].view(float)  # the distinct values: equal values, equal costs
+    size = np.bincount(cls := np.searchsorted(x.view(np.int64), bits))
     cap = np.floor(x).astype(np.int64) + 1
     if size @ cap < m:  # M * (1 - sum(q)) swallows the slack of the caps
         raise ValueError("target sum is too far from 1 to allocate at this resolution")
@@ -61,8 +57,7 @@ def quantize(q, m_units: int) -> TypedPmf:
         """Per value, the number of units that cost less than lam; costs within tol of lam are exact.
 
         Unit k costs at most 1 + ln(k - 1/2) - ln(M q_a), and more than that bound for unit k - 1.
-        Above about 1e12 units consecutive costs differ by less than their rounding: numpy's count stands.
-        """
+        Above about 1e12 units consecutive costs differ by less than their rounding: numpy's count stands."""
         k = np.clip(np.ceil(np.exp(np.minimum(lam - 1 + log_mq, 50)) - 0.5), 0, 2.0**62).astype(np.int64)
         k = np.minimum(k, cap)  # in int64: above 2^53 the float cap can round past floor(M q) + 1
         last, nxt = (_unit_cost(c, log_mq, np.log, np.log1p) for c in (np.maximum(k - 1, 0), k))
@@ -71,36 +66,44 @@ def quantize(q, m_units: int) -> TypedPmf:
             last[i], nxt[i] = (_unit_cost(c, float(log_mq[i])) for c in (max(int(k[i]) - 1, 0), int(k[i])))
         return k - ((k > 0) & (last >= lam)) + ((k < cap) & (nxt < lam))
 
-    # Every unit below lo is the greedy's; bisect until at most 64 (value, level) pairs lie in [lo, hi).  While
-    # a band value's count is numpy's (k * tol >= 0.1), where the count hangs on the stop, go on until at most
-    # 64 units or one level of one value do.
-    lo, hi = -log_mq.max() - 1.0, max(-log_mq.min(), 0.0) + 2.0
-    k_lo, k_hi = np.zeros_like(cap), cap
-    while ((band := k_hi - k_lo).sum() > 64 or band.sum() > 1 and size @ band > 64
-           and (k_hi[band > 0] * tol >= 0.1).any()) and lo < (mid := 0.5 * (lo + hi)) < hi:
-        k = below(mid)
-        if size @ k <= m:
-            lo, k_lo = mid, k
-        if size @ k >= m:
-            hi, k_hi = mid, k
+    # Every unit below k_lo is the greedy's: by below's bound fewer than M units cost under 1 + ln t, for t =
+    # (M - 1.5 atoms) / (M sum q), and ceil(M q t + 1/2) - 1 per value do (one less, and t shrunk, for rounding).
+    # With every count exact a bracket of at most 2^14 levels is finished as it is.  Else bisect until at most 64
+    # (value, level) pairs lie in [lo, hi), or while a band count is numpy's (k * tol >= 0.1) 64 units or one level.
+    t = max(m - 1.5 * support.size, 0) / (size @ x) * (1 - 1e-12)
+    k_lo, k_hi = np.clip(np.ceil(x * t + 0.5) - 2, 0, cap).astype(np.int64), cap
+    if (cap * tol >= 0.1).any() or (cap - k_lo).sum() > 1 << 14:
+        lo, hi, k_lo = -log_mq.max() - 1.0, max(-log_mq.min(), 0.0) + 2.0, np.zeros_like(cap)
+        while ((band := k_hi - k_lo).sum() > 64 or band.sum() > 1 and size @ band > 64
+               and (k_hi[band > 0] * tol >= 0.1).any()) and lo < (mid := 0.5 * (lo + hi)) < hi:
+            k = below(mid)
+            if size @ k <= m:
+                lo, k_lo = mid, k
+            if size @ k >= m:
+                hi, k_hi = mid, k
     # The greedy hands out the other r units in (running max of the value's unit costs from k_lo, atom, level)
     # order.  Sorted by that key, the levels before the first group of equal keys that holds more than r units go
     # out whole, and that group goes in (atom, level) order.  A level at k_hi or above costs at least hi, more
     # than the greedy's last unit, except where numpy's count stands: there no value takes more than r levels.
+    # Only numpy keys within 8 tol of the cut's can fall on its other side: those are made exact and cut again.
     r = m - int(size @ k_lo)
-    ends = np.where(k_hi * tol < 0.1, k_hi, np.minimum(cap, k_lo + r)).tolist()
-    starts, logs = k_lo.tolist(), log_mq.tolist()
-    vals, keys = [], []
-    for v in np.flatnonzero(band).tolist():
-        vals += [v] * (ends[v] - starts[v])
-        keys += itertools.accumulate((_unit_cost(c, logs[v]) for c in range(starts[v], ends[v])), max)
+    runs = np.where(k_hi > k_lo, np.where(k_hi * tol < 0.1, k_hi, np.minimum(cap, k_lo + r)) - k_lo, 0)
+    vals = np.repeat(np.arange(cap.size), runs)
+    level = np.arange(vals.size) + np.repeat(k_lo + runs - np.cumsum(runs), runs)
+    keys = _unit_cost(level, log_mq[vals], np.log, np.log1p)
     order = np.argsort(keys, kind="stable")
-    vals, keys = np.array(vals, dtype=np.intp)[order], np.array(keys)[order]
-    cut = int(np.searchsorted(np.cumsum(size[vals]), r, side="right"))
-    key = keys[cut] if cut < keys.size else np.inf
-    whole = np.bincount(vals[keys < key], minlength=cap.size)
-    levels = np.bincount(vals[keys == key], minlength=cap.size)[cls]
-    extra = np.minimum(np.maximum(r - int(size @ whole) - (np.cumsum(levels) - levels), 0), levels)
+    mass = np.cumsum(size[vals[order]])
+    cut, key = int(np.searchsorted(mass, r, side="right")), np.inf
+    if cut < vals.size:
+        a, b = np.searchsorted(keys[order], keys[order[cut]] + np.array([-8, 8]) * tol).tolist()
+        near, logs = np.sort(order[a:b]), log_mq.tolist()
+        by_value = groupby(zip(vals[near].tolist(), level[near].tolist()), operator.itemgetter(0))
+        keys[near] = [k for _, g in by_value for k in accumulate((_unit_cost(c, logs[v]) for v, c in g), max)]
+        near = near[np.argsort(keys[near], kind="stable")]
+        key = keys[near[np.searchsorted(np.cumsum(size[vals[near]]) + (mass[a - 1] if a else 0), r, "right")]]
+    whole, levels = (np.bincount(vals[cut_side], minlength=cap.size) for cut_side in (keys < key, keys == key))
     out = np.zeros(mq.size, dtype=np.int64)
-    out[support] = (k_lo + whole)[cls] + extra
+    out[support] = (k_lo + whole)[cls]
+    tied = np.flatnonzero((levels > 0)[cls])  # the cut group's atoms
+    out[support[tied]] += np.diff(np.minimum(levels[cls[tied]].cumsum(), r - int(size @ whole)), prepend=0)
     return TypedPmf(m, out)

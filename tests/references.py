@@ -2,9 +2,11 @@
 
 None is used by the library: the Tunstall build and the completeness
 check both work on flat arrays there, min_type_order takes one gcd,
-quantize bisects a cost threshold and sorts only the levels near it
-(heap_quantize pops one unit at a time from a heap with one entry per
-symbol, and brute_force_quantize enumerates every composition), codebooks are
+quantize sorts only a bracket of levels around the last unit, closed form
+while every count is exact and found by bisecting a cost threshold past
+that or when the bracket is wide (heap_quantize pops one unit at a time
+from a heap with one entry per symbol, and brute_force_quantize enumerates
+every composition), codebooks are
 held as packed codes and lengths (paths decodes the codes back into
 tuples without the library's unpacking, flat_codebook packs leaf paths
 into one with Python ints), the CLI writes text output as

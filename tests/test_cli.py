@@ -388,6 +388,7 @@ class TestUsageErrors:
         ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", "2", "--schemes", "f2v,x2y"],
         ["curve", "--p", "0.5,0.5", "--m", "4"],
         ["curve", "--p", "0.211,0.789", "--m", "12", "--extra-size", "3072", "--schemes", "b2b"],
+        ["curve", "--p", "0.211,0.789", "--m", "12", "--n-list", "3", "--extra-size", "3072", "--schemes", "b2b"],
         ["generate", "--p", "0.4,0.3,0.3", "--m", "4", "--size", "4", "--symbols", "4", "--seed", "1"],
         ["generate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "0", "--seed", "1"],
         GEN,
@@ -405,10 +406,10 @@ class TestUsageErrors:
         ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", ""],
         ["curve", "--p", "0.5,0.5", "--m", "x", "--n-list", "2"],
         ["curve", "--m", "4", "--n-list", "2"],
-    ], ids=["unknown-scheme", "no-sizes", "b2b-extra-size-only", "unreachable-size", "no-symbols", "no-seed", "text-above-ten",
-            "bad-q", "m-70", "missing-bits-file", "unwritable-out", "symbols-beyond-float", "validate-symbols-beyond-float",
-            "tv-threshold-nan", "tv-threshold-negative", "p-not-a-number", "empty-n-list", "m-not-an-integer",
-            "missing-p"])
+    ], ids=["unknown-scheme", "no-sizes", "b2b-extra-size-only", "b2b-extra-size-with-n-list", "unreachable-size",
+            "no-symbols", "no-seed", "text-above-ten", "bad-q", "m-70", "missing-bits-file", "unwritable-out",
+            "symbols-beyond-float", "validate-symbols-beyond-float", "tv-threshold-nan", "tv-threshold-negative",
+            "p-not-a-number", "empty-n-list", "m-not-an-integer", "missing-p"])
     def test_one_error_line_and_exit_2(self, capsys, tmp_path, argv):
         missing = str(tmp_path / "no-such-dir" / "x")
         with pytest.raises(SystemExit) as exc:
@@ -417,6 +418,13 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_list", [[], ["--n-list", "3"]], ids=["alone", "with-n-list"])
+    def test_extra_size_without_f2v_names_the_flag(self, capsys, n_list):
+        # --extra-size sizes f2v codebooks only: with b2b alone it is refused, not asked for or dropped
+        argv = ["curve", "--p", "0.211,0.789", "--m", "12", *n_list, "--extra-size", "3072", "--schemes", "b2b"]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().err == "error: --extra-size sets f2v codebook sizes, but --schemes has no f2v\n"
 
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("argv", [
@@ -626,3 +634,21 @@ def test_import_leaves_the_process_pool_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["curve", "--p", "0.211,0.789", "--m", "8", "--n-list", "4,6", "--schemes", "f2v,b2b"], ()),
+    (["generate", "--p", "0.211,0.789", "--m", "8", "--size", "16", "--symbols", "1000", "--seed", "1"],
+     ("numpy.random",)),
+], ids=["curve", "generate"])
+def test_commands_import_no_numpy_module_they_do_not_need(argv, allowed):
+    # a numpy submodule imported on first use (numpy.ma, which np.unique without return_inverse reaches through
+    # np.ma.is_masked, for one) costs milliseconds inside every command; only the seeded bit source needs one
+    src = str(Path(rescode.__file__).resolve().parent.parent)
+    probe = ("import contextlib, io, sys\nfrom rescode import cli\nbefore = set(sys.modules)\n"
+             "with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), "
+             f"contextlib.redirect_stderr(io.StringIO()):\n    cli.main({argv!r})\n"
+             "print(' '.join(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy')))")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert [m for m in result.stdout.split() if not any(m == a or m.startswith(a + ".") for a in allowed)] == []

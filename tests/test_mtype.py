@@ -137,6 +137,45 @@ class TestBruteForce:
             brute_force_quantize(np.ones(8) / 8, 4096)
 
 
+@functools.lru_cache(maxsize=None)
+def heap_target(name):
+    """(q, M, the heap's counts) for the sweep's b2b points at m = 12 and 18, its f2v point at m = 18, or a wide q."""
+    if name == "b2b-n9-m12":
+        q, m = leaf_distribution(Pmf([0.211, 0.789]), product_codebook(2, 9)).leaf_probs, 1 << 12
+    elif name == "wide-m16":  # 6000 distinct values: a bracket of about 3 levels per value, so the bisection runs
+        q, m = np.random.default_rng(5).dirichlet(np.ones(6000)), 1 << 16
+    elif name == "f2v-2^16-m18":
+        q, m = build_tunstall(Pmf([0.211, 0.789]), 1 << 16).leaf_probs, 1 << 18
+    else:
+        q, m = leaf_distribution(Pmf([0.211, 0.789]), product_codebook(2, 16)).leaf_probs, 1 << 18
+    return q, m, heap_quantize(q, m).counts
+
+
+@st.composite
+def start_branches(draw):
+    """(q, M <= 2^16) that reach each branch of quantize's start, with sum(q) up to a few ulps below 1.
+
+    At least M / 1.5 atoms (t <= 0, so k_lo is 0), thousands of distinct values (a bracket above 2^14 levels,
+    so the bisection runs), atoms with M q < 1 beside a few large ones, and hundreds of atoms on one value.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["crowded", "wide", "tiny", "shared"]))
+    if kind == "crowded":
+        k = draw(st.integers(2, 400))
+        q, m = rng.dirichlet(np.ones(k)), draw(st.integers(1, 3 * k // 2))
+    elif kind == "wide":
+        q, m = rng.dirichlet(np.ones(draw(st.integers(6000, 7000)))), draw(st.integers(1 << 14, 1 << 16))
+    elif kind == "tiny":
+        m = draw(st.integers(2, 1 << 16))
+        q = np.concatenate((rng.dirichlet(np.ones(draw(st.integers(1, 4)))), rng.uniform(0, 1 / m, 200)))
+    else:
+        w, mult = rng.dirichlet(np.ones(draw(st.integers(1, 6)))), draw(st.integers(65, 2000))
+        q, m = np.concatenate((np.repeat(w[0] / mult, mult), w[1:])), draw(st.integers(1, 1 << 16))
+    q = rng.permutation(q / q.sum())
+    q[np.argmax(q)] -= draw(st.integers(0, 8)) * np.spacing(q.max())  # sum(q) a few ulps below 1
+    return q, m
+
+
 class TestAgainstHeapOracle:
     @settings(max_examples=150)
     @given(TARGETS, st.integers(1, 1 << 12))
@@ -153,8 +192,14 @@ class TestAgainstHeapOracle:
 
     def test_same_counts_on_product_leaves(self):
         # the sweep's m = 18 b2b point: 2^16 leaves with 17 distinct probabilities in exact arithmetic
-        leaf_probs = leaf_distribution(Pmf([0.211, 0.789]), product_codebook(2, 16)).leaf_probs
-        assert np.array_equal(quantize(leaf_probs, 1 << 18).counts, heap_quantize(leaf_probs, 1 << 18).counts)
+        leaf_probs, m, expected = heap_target("b2b-n16-m18")
+        assert np.array_equal(quantize(leaf_probs, m).counts, expected)
+
+    @settings(max_examples=60)
+    @given(start_branches())
+    def test_same_counts_on_every_start_branch(self, target):
+        q, m = target
+        assert np.array_equal(quantize(q, m).counts, heap_quantize(q, m).counts)
 
 
 class TestTiesAcrossValues:
@@ -264,19 +309,24 @@ class RoughNumpy:
         return np.exp(x) * self.scale
 
 
+ROUGH = {"logs-1ulp-low": {"ulps": 1}, "logs-3ulps-low": {"ulps": 3}, "exp-high": {"scale": 1.001},
+         "exp-low": {"scale": 0.999}}
+ROUGH_CASES = [(name, rough) for name in ("b2b-n9-m12", "b2b-n16-m18", "f2v-2^16-m18", "wide-m16") for rough in ROUGH]
+
+
 class TestExactBoundaryCheck:
     """Counts stay the heap's when numpy's logarithms round differently or the closed form is off."""
 
-    # The sweep's b2b point at m = 12 has tie classes whose unit costs sit next to the bisected
-    # threshold: logs a few ulps low, as another build's vector paths may give them, would start
-    # units there that the greedy leaves.  A scaled exp moves the closed-form count by one unit.
-    @pytest.mark.parametrize("rough", [{"ulps": 1}, {"ulps": 3}, {"scale": 1.001}, {"scale": 0.999}],
-                             ids=["logs-1ulp-low", "logs-3ulps-low", "exp-high", "exp-low"])
-    def test_same_counts_with_rough_numpy(self, monkeypatch, rough):
-        leaf_probs = leaf_distribution(Pmf([0.211, 0.789]), product_codebook(2, 9)).leaf_probs
-        expected = heap_quantize(leaf_probs, 1 << 12).counts
-        monkeypatch.setattr(mtype, "np", RoughNumpy(**rough))
-        assert np.array_equal(quantize(leaf_probs, 1 << 12).counts, expected)
+    # The sweep's b2b point at m = 12 has tie classes whose unit costs sit next to the cut: logs a
+    # few ulps low, as another build's vector paths may give them, would hand out units there that
+    # the greedy leaves.  Its m = 18 points key 4784 (product n = 16) and 718 (Tunstall 2^16) levels
+    # by numpy alone.  The wide target is bisected, and there a scaled exp moves below's count by one.
+    @pytest.mark.parametrize("name, rough", ROUGH_CASES,
+                             ids=[r if n == "b2b-n9-m12" else f"{n}-{r}" for n, r in ROUGH_CASES])
+    def test_same_counts_with_rough_numpy(self, monkeypatch, name, rough):
+        q, m, expected = heap_target(name)
+        monkeypatch.setattr(mtype, "np", RoughNumpy(**ROUGH[rough]))
+        assert np.array_equal(quantize(q, m).counts, expected)
 
 
 def stable_costs(c, mq):
