@@ -8,11 +8,8 @@ reference the variable-length scheme is measured against.
 
 from __future__ import annotations
 
-import operator
-
-from . import mtype
 from .codetree import leaf_distribution, product_codebook
-from .f2v import MAX_INPUT_BITS, ResolutionCode
+from .f2v import ResolutionCode, input_length
 from .probdist import Pmf
 
 
@@ -22,10 +19,5 @@ def build_block_code(p: Pmf, n: int, m: int) -> ResolutionCode:
     The rate is exactly m/n bits per symbol; the divergence is that of the
     optimal 2^m-type quantization of the n-fold product distribution.
     """
-    m = operator.index(m)
-    if not 1 <= m <= MAX_INPUT_BITS:
-        raise ValueError(f"input length must be in [1, {MAX_INPUT_BITS}] bits")
-    codebook = product_codebook(p.alphabet_size, n)
-    target = leaf_distribution(p, codebook)
-    counts = mtype.quantize(target.leaf_probs, 1 << m)
-    return ResolutionCode(scheme="b2b", m=m, target=target, counts=counts)
+    input_length(m)
+    return ResolutionCode.quantized("b2b", leaf_distribution(p, product_codebook(p.alphabet_size, n)), m)

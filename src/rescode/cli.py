@@ -43,11 +43,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _curve_point(scheme: str, m: int, size: int, p: Pmf) -> metrics.RateReport:
-    build = block.build_block_code if scheme == "b2b" else f2v.build_code
-    return metrics.rate_report(build(p, size, m))
-
-
 def _format_row(r: metrics.RateReport) -> str:
     values = (r.n_bits, r.q_bits, r.rate, r.entropy_rate, r.hv_rate, r.kl, r.kl_bound, r.exp_len)
     return ",".join([r.scheme, str(r.m), str(r.num_codewords)] + [repr(float(v)) for v in values])
@@ -90,7 +85,7 @@ def cmd_curve(args, out) -> int:
     else:
         if not args.m:
             raise ValueError("either --grid-table or at least one --m is required")
-        m_values = sorted(set(args.m))
+        m_values = sorted({f2v.input_length(m) for m in args.m})
         pairs = [(m, n) for m in m_values for n in sorted(set(args.n_list or ()))]
     schemes = sorted(set(args.schemes.split(",")))
     if unknown := [s for s in schemes if s not in ("f2v", "b2b")]:
@@ -98,19 +93,25 @@ def cmd_curve(args, out) -> int:
     if args.extra_size and "f2v" not in schemes:
         raise ValueError("--extra-size sets f2v codebook sizes, but --schemes has no f2v")
 
-    d = p.alphabet_size
-    points = [("b2b", m, n) for m, n in pairs] if "b2b" in schemes else []
+    groups = {}  # (scheme, size): the input lengths, ascending, that share its target
+    for m, n in pairs if "b2b" in schemes else ():
+        groups.setdefault(("b2b", n), []).append(m)
     if "f2v" in schemes:
         if any(not 0 <= n <= f2v.MAX_INPUT_BITS for _, n in pairs):
             raise ValueError(f"f2v block lengths (--n-list) must be in [0, {f2v.MAX_INPUT_BITS}]")
         for m in m_values:
             sizes = sorted({2**n for pm, n in pairs if pm == m} | set(args.extra_size or ()))
-            rounded = {tunstall.round_size_down(d, size) for size in sizes}
-            points += [("f2v", m, size) for size in sorted(rounded)]
-    if not points:
+            for size in sorted({tunstall.round_size_down(p.alphabet_size, size) for size in sizes}):
+                groups.setdefault(("f2v", size), []).append(m)
+    if not groups:
         raise ValueError("no codebook sizes requested: give --n-list, --grid-table, or --extra-size")
 
-    rows = [_curve_point(*point, p) for point in points]
+    rows = []
+    for (scheme, size), m_list in groups.items():  # the target is built at the first m, re-quantized at the others
+        code = (block.build_block_code if scheme == "b2b" else f2v.build_code)(p, size, m_list[0])
+        rows += [metrics.rate_report(f2v.ResolutionCode.quantized(scheme, code.target, m) if m > code.m else code)
+                 for m in m_list]
+        del code  # released before the next target is built
     rows.sort(key=lambda r: (r.scheme, r.m, r.num_codewords))
 
     out.write((CSV_HEADER + "\n" + "".join(_format_row(row) + "\n" for row in rows)).encode())

@@ -151,10 +151,10 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
         )
     if not p.has_full_support():
         raise ValueError("branching distribution must have full support; drop zero-probability symbols first")
-    # the left fold of acc *= pv[s] along each path, one symbol position at a time
+    # the left fold of acc *= pv[s] along each path, one symbol position at a time; a path that ended is masked out
     probs, width = np.ones(len(codebook)), (p.alphabet_size - 1).bit_length()
     for j, symbols in enumerate(_fields(codebook.codes, width, codebook.max_len())):
-        probs *= np.where(codebook.lengths > j, p.probs[symbols], 1.0)
+        np.multiply(probs, np.take(p.probs, symbols), out=probs, where=codebook.lengths > j)
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), p=p)
 
 

@@ -52,6 +52,12 @@ class ResolutionCode:
     target: LeafDistribution
     counts: TypedPmf
 
+    @classmethod
+    def quantized(cls, scheme: str, target: LeafDistribution, m: int) -> ResolutionCode:
+        """target with its 2^m-type codeword counts, the only part of a code that depends on m."""
+        m = input_length(m)
+        return cls(scheme=scheme, m=m, target=target, counts=mtype.quantize(target.leaf_probs, 1 << m))
+
     @property
     def n_bits(self) -> float:
         return math.log2(self.num_codewords)
@@ -87,14 +93,17 @@ class ResolutionCode:
         return _frozen(first)
 
 
+def input_length(m) -> int:
+    """m as an int, once it is in [1, MAX_INPUT_BITS]; the builders check it before they build."""
+    if not 1 <= (m := operator.index(m)) <= MAX_INPUT_BITS:
+        raise ValueError(f"input length must be in [1, {MAX_INPUT_BITS}] bits")
+    return m
+
+
 def build_code(p: Pmf, num_codewords: int, m: int) -> ResolutionCode:
     """Tunstall codebook of the requested size plus 2^m-type codeword counts."""
-    m = operator.index(m)
-    if not 1 <= m <= MAX_INPUT_BITS:
-        raise ValueError(f"input length must be in [1, {MAX_INPUT_BITS}] bits")
-    target = tunstall.build_tunstall(p, num_codewords)
-    counts = mtype.quantize(target.leaf_probs, 1 << m)
-    return ResolutionCode(scheme="f2v", m=m, target=target, counts=counts)
+    input_length(m)
+    return ResolutionCode.quantized("f2v", tunstall.build_tunstall(p, num_codewords), m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,13 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .f2v import ResolutionCode, build_code
-from .probdist import (
-    LOG2E,
-    Pmf,
-    entropy,
-    kl_divergence,
-    min_type_order,
-)
+from .probdist import LOG2E, Pmf, entropy, kl_divergence, min_type_order
 from .tunstall import round_size_down
 
 # Relative slack applied to every inequality in bound_suite.
@@ -64,10 +58,10 @@ class BoundCheck:
 def rate_report(code: ResolutionCode) -> RateReport:
     """Evaluate every reported quantity for a built code over its branching law."""
     mu = code.target.p.mu()
-    px = code.counts.probs()
-    exp_len = code.exp_len
-    px_entropy = entropy(code.counts)
-    kl = kl_divergence(code.counts, code.target.leaf_probs)
+    px = code.counts.probs()  # divided once: ResolutionCode.exp_len, entropy and kl_divergence would each divide again
+    exp_len = float((px * code.codebook.lengths).sum())
+    px_entropy = entropy(px)
+    kl = kl_divergence(px, code.target.leaf_probs)
     # 2^-q = N / 2^m, computed from the integers to avoid re-rounding
     two_pow_neg_q = code.num_codewords / float(1 << code.m)
     return RateReport(

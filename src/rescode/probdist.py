@@ -179,7 +179,7 @@ def min_type_order(p: TypedPmf) -> int:
     """Least M for which p is M-type.
 
     The lcm of the reduced denominators M / gcd(c_a, M) equals
-    M / gcd(M, c_1, ..., c_n), prime by prime; it always divides M.
+    M / gcd(M, c_1, ..., c_n), prime by prime; it always divides M.  The
+    counts sum to M, so their gcd divides M and is taken in int64 alone.
     """
-    m = p.denominator
-    return m // math.gcd(m, *p.counts.tolist())
+    return p.denominator // int(np.gcd.reduce(p.counts))

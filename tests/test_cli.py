@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -115,6 +116,32 @@ class TestCurve:
             assert row[:3] == [r.scheme, "10", str(r.num_codewords)]
             assert [float(v) for v in row[3:]] == [r.n_bits, r.q_bits, r.rate, r.entropy_rate, r.hv_rate,
                                                    r.kl, r.kl_bound, r.exp_len]
+
+    def test_each_target_is_built_once_and_requantized_at_every_m(self, capsys, monkeypatch):
+        # only the counts depend on m: each Tunstall codebook and product leaf distribution is built at one m,
+        # and each target is released before the next one is built
+        built, alive = {"tunstall": [], "product": []}, []
+
+        def counting(name, fn):
+            def wrapper(p, size_or_codebook):
+                assert all(ref() is None for ref in alive), "the previous target is still referenced"
+                built[name].append(len(size_or_codebook) if name == "product" else size_or_codebook)
+                target = fn(p, size_or_codebook)
+                alive.append(weakref.ref(target))
+                return target
+            return wrapper
+
+        monkeypatch.setattr(tunstall, "build_tunstall", counting("tunstall", tunstall.build_tunstall))
+        monkeypatch.setattr(block, "leaf_distribution", counting("product", block.leaf_distribution))
+        code, out, _ = run(capsys, ["curve", "--p", "0.211,0.789", "--m", "6", "--m", "9", "--m", "12",
+                                    "--n-list", "5,6", "--schemes", "f2v,b2b"])
+        assert code == 0
+        assert sorted(built["tunstall"]) == [32, 64] and sorted(built["product"]) == [32, 64]
+        monkeypatch.undo()
+        p = Pmf([0.211, 0.789])
+        points = ((build_block_code, (5, 6)), (build_code, (32, 64)))
+        oracle = [rate_report(build(p, size, m)) for build, sizes in points for m in (6, 9, 12) for size in sizes]
+        assert out == cli.CSV_HEADER + "\n" + "".join(cli._format_row(r) + "\n" for r in oracle)
 
     def test_b2b_row_at_m_56(self, capsys):
         # M q passes 2^53 here: a count clipped to its cap in float64 rounded above it and ran the finish dry
@@ -425,6 +452,17 @@ class TestUsageErrors:
         argv = ["curve", "--p", "0.211,0.789", "--m", "12", *n_list, "--extra-size", "3072", "--schemes", "b2b"]
         assert exit_code(argv) == 2
         assert capsys.readouterr().err == "error: --extra-size sets f2v codebook sizes, but --schemes has no f2v\n"
+
+    def test_every_m_is_checked_before_any_build(self, capsys, monkeypatch):
+        # m = 20 is valid and would be built first; m = 63 must fail before it is
+        def refuse(*args):
+            raise AssertionError("a codebook was built")
+
+        monkeypatch.setattr(tunstall, "build_tunstall", refuse)
+        assert exit_code(["curve", "--p", "0.211,0.789", "--m", "20", "--m", "63", "--n-list", "20",
+                          "--schemes", "f2v"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: input length must be in [1, {f2v.MAX_INPUT_BITS}] bits\n"
 
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("argv", [

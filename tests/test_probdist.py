@@ -218,6 +218,16 @@ class TestMinTypeOrder:
         t = TypedPmf(scale * sum(counts), [scale * c for c in counts])
         assert min_type_order(t) == lcm_min_type_order(t)
 
+    @settings(max_examples=300)
+    @given(st.integers(1, 1 << 40).flatmap(
+        lambda g: st.tuples(st.just(g), st.lists(st.integers(0, (1 << 62) // g), min_size=1, max_size=40).filter(any))))
+    def test_matches_math_gcd_up_to_2_62(self, draw):
+        # counts up to 2^62 with a common factor g, and M their sum; the int64 gcd must match Python's
+        g, counts = draw
+        counts = [g * c for c in counts]
+        m = sum(counts)
+        assert min_type_order(TypedPmf(m, counts)) == m // math.gcd(m, *counts)
+
     def test_minimality_by_scan(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
