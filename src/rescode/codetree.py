@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -145,16 +145,14 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
     part of the tree unreachable.
     """
     if p.alphabet_size != codebook.alphabet_size:
-        raise ValueError(
-            f"alphabet mismatch: distribution has {p.alphabet_size} symbols, "
-            f"codebook has {codebook.alphabet_size}"
-        )
+        raise ValueError(f"alphabet mismatch: distribution has {p.alphabet_size} symbols, "
+                         f"codebook has {codebook.alphabet_size}")
     if not p.has_full_support():
         raise ValueError("branching distribution must have full support; drop zero-probability symbols first")
-    # the left fold of acc *= pv[s] along each path, one symbol position at a time; a path that ended is masked out
-    probs, width = np.ones(len(codebook)), (p.alphabet_size - 1).bit_length()
+    # the left fold of acc *= pv[s] along each path, one symbol position at a time; paths that ended are masked out
+    probs, width, short = np.ones(len(codebook)), (p.alphabet_size - 1).bit_length(), codebook.lengths.min()
     for j, symbols in enumerate(_fields(codebook.codes, width, codebook.max_len())):
-        np.multiply(probs, np.take(p.probs, symbols), out=probs, where=codebook.lengths > j)
+        np.multiply(probs, np.take(p.probs, symbols), out=probs, where=j < short or codebook.lengths > j)
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), p=p)
 
 
@@ -167,22 +165,29 @@ def product_codebook(alphabet_size: int, n: int) -> Codebook:
         raise ValueError("block length must be at least 1")
     if n > MAX_PRODUCT_LEAVES.bit_length() or d**n > MAX_PRODUCT_LEAVES:  # d**n only for small n
         raise ValueError(f"product codebook would have D^n = {d}^{n} leaves, above the cap {MAX_PRODUCT_LEAVES}")
-    codes = np.zeros((1, 1), dtype=np.uint64)
+    codes = np.zeros(1, dtype=np.uint64)
     for j in range(n):  # D^n <= 2^20 keeps n * ceil(log2 D) <= 24 bits: one piece
-        codes = (codes[:, None] | _symbol_bits(d, j, 1)).reshape(-1, 1)
-    return Codebook(alphabet_size=d, codes=_frozen(codes), lengths=_frozen(np.full(d**n, n, dtype=np.int64)))
+        codes = _children(np.bitwise_or, codes, _symbol_bits(d, j, 1)[:, 0])
+    return Codebook(d, _frozen(codes.reshape(-1, 1)), _frozen(np.full(codes.size, n, dtype=np.int64)))
 
 
+def _children(ufunc: np.ufunc, parents: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """ufunc(parent, values[..., s]) for each parent (last axis) and symbol s (values' last axis), in parent order."""
+    if parents.size < 128:  # few parents: one broadcast, which runs several times slower per child but is one call
+        return ufunc(parents[..., None], values).reshape(*parents.shape[:-1], -1)
+    out = np.empty((*parents.shape, values.shape[-1]), dtype=parents.dtype)
+    for s in range(values.shape[-1]):
+        ufunc(parents, values[..., s], out=out[..., s])
+    return out.reshape(*parents.shape[:-1], -1)
+
+
+@lru_cache(maxsize=64)
 def _symbol_bits(d: int, j: int, pieces: int) -> np.ndarray:
-    """The D symbols as symbol j of a path in ``Codebook.codes``: [D, pieces] uint64, split where pieces meet."""
-    width = (d - 1).bit_length()
-    out, symbol = np.zeros((d, pieces), dtype=np.uint64), np.arange(d, dtype=np.uint64)
-    a, end = divmod(j * width, 64)
-    end += width
-    out[:, a] = symbol >> np.uint64(max(end - 64, 0)) << np.uint64(max(64 - end, 0))
-    if end > 64:
-        out[:, a + 1] = symbol << np.uint64(128 - end)
-    return out
+    """The D symbols as symbol j of a path in ``Codebook.codes``: [D, pieces] uint64; read-only, the last 64 cached."""
+    a, end = divmod((j + 1) * (d - 1).bit_length() - 1, 64)  # symbol j ends at bit `end` (MSB first) of piece a
+    out, symbols = np.zeros((d, pieces), dtype=np.uint64), np.arange(d, dtype=np.uint64)  # piece a - 1 takes the spill,
+    out[:, a - 1], out[:, a] = symbols >> np.uint64(end + 1), symbols << np.uint64(63 - end)  # 0 at a = 0, set first
+    return _frozen(out)
 
 
 def _unpack(book: Codebook) -> np.ndarray:

@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .codetree import Codebook, LeafDistribution, _symbol_bits, validate_complete
+from .codetree import Codebook, LeafDistribution, _children, _symbol_bits, validate_complete
 from .probdist import Pmf, _frozen
 
 # Largest codebook size round_size_down and build_tunstall accept, checked before anything is built.
@@ -70,17 +70,16 @@ def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     internal = _internal(fronts, probs, k, kth)
     leaf = [~internal[0]] + [np.repeat(internal[j - 1][fronts[j]], d) & ~internal[j] for j in range(1, len(probs))]
     depth = max(j for j, level in enumerate(leaf, 1) if level.any())
-    # Level j's tree nodes are the D children of each internal node above, in
-    # order: the parent's code ORed with each symbol.  The level's leaves are
-    # written after those of the levels above, and its internal nodes' codes go
-    # on to the next level.  No leaf is a prefix of another, so the left-aligned
-    # codes are distinct and sort as the paths do.  Stored piece by piece, each
-    # of lexsort's keys is contiguous; the sorted codes are returned leaf by leaf.
+    # Level j's tree nodes are the D children of each internal node above, in order: the parent's code
+    # ORed with each symbol.  The level's leaves are written after those of the levels above, and its
+    # internal nodes' codes go on to the next level.  No leaf is a prefix of another, so the left-aligned
+    # codes are distinct and sort as the paths do.  Stored piece by piece, each of lexsort's keys is
+    # contiguous; the sorted codes are returned leaf by leaf.
     pieces = -(-depth * width // 64)
     codes, front = np.empty((pieces, n), dtype=np.uint64), np.zeros((pieces, 1), dtype=np.uint64)
     lengths, leaf_probs, start = np.empty(n, dtype=np.int64), np.empty(n), 0
     for j, here in enumerate(leaf[:depth]):
-        nodes = (front[:, :, None] | _symbol_bits(d, j, pieces).T[:, None]).reshape(pieces, -1)
+        nodes = _children(np.bitwise_or, front, _symbol_bits(d, j, pieces).T[:, None])
         inner, end = internal[j][here | internal[j]], start + np.count_nonzero(here)
         codes[:, start:end], lengths[start:end], leaf_probs[start:end] = nodes[:, ~inner], j + 1, probs[j][here]
         front, start = nodes[:, inner], end
@@ -127,7 +126,7 @@ def _grow(pv: np.ndarray, k: int, cutoff: float):
         if not front.size:
             break
         fronts.append(front)
-        probs.append((probs[-1][front, None] * pv).ravel())
+        probs.append(_children(np.multiply, probs[-1][front], pv))
         fresh.append(probs[-1])
         count += probs[-1].size
     if count < k:  # fewer than k grew, and a negative partition index would count from the end

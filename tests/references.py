@@ -14,7 +14,11 @@ one byte array per chunk and packed output straight from codeword
 indices (pack_symbols packs expanded symbols instead), and the stream
 cuts its words from packed bytes and maps them through its guide table.
 check_balance re-proves the Tunstall balance that build_tunstall
-guarantees by construction.
+guarantees by construction.  The build expands each node into its D
+children with one pass per symbol and caches each symbol position's bits
+(broadcast_children is the one-broadcast expansion, numpy_symbol_bits the
+piece-split formula the build first used), and product_codebook packs its codes
+level by level (product_codes packs each path as one Python int).
 """
 
 from __future__ import annotations
@@ -296,3 +300,29 @@ def interval_map(code, words=None) -> np.ndarray:
 def induced_counts(code) -> np.ndarray:
     """How many of the 2^m words the interval map sends to each codeword."""
     return np.bincount(interval_map(code), minlength=code.num_codewords)
+
+
+def broadcast_children(ufunc, parents: np.ndarray, values) -> np.ndarray:
+    """ufunc(parent, values[..., s]) for each parent (last axis) and symbol s, parent by parent, one broadcast over D."""
+    return ufunc(parents[..., None], values).reshape(*parents.shape[:-1], -1)
+
+
+def numpy_symbol_bits(d: int, j: int, pieces: int) -> np.ndarray:
+    """The D symbols as symbol j of a packed path: [D, pieces] uint64, written into the one or two pieces it spans."""
+    width = (d - 1).bit_length()
+    out, symbol = np.zeros((d, pieces), dtype=np.uint64), np.arange(d, dtype=np.uint64)
+    a, end = divmod(j * width, 64)
+    end += width
+    out[:, a] = symbol >> np.uint64(max(end - 64, 0)) << np.uint64(max(64 - end, 0))
+    if end > 64:
+        out[:, a + 1] = symbol << np.uint64(128 - end)
+    return out
+
+
+def product_codes(d: int, n: int) -> np.ndarray:
+    """The D^n paths of length n in lexicographic order, each packed MSB first into one uint64: [D^n, 1]."""
+    width = (d - 1).bit_length()
+    if n * width > 64:
+        raise ValueError(f"{n} symbols of {width} bits do not fit one piece")
+    tuples = itertools.product(range(d), repeat=n)
+    return np.array([[sum(s << 64 - (t + 1) * width for t, s in enumerate(path))] for path in tuples], dtype=np.uint64)

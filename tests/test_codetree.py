@@ -15,7 +15,16 @@ from rescode import (
     product_codebook,
     validate_complete,
 )
-from references import flat_codebook, loop_leaf_probs, paths, tuple_validate_complete
+from rescode.codetree import _children, _symbol_bits
+from references import (
+    broadcast_children,
+    flat_codebook,
+    loop_leaf_probs,
+    numpy_symbol_bits,
+    paths,
+    product_codes,
+    tuple_validate_complete,
+)
 
 
 def chain(depth: int, d: int) -> list:
@@ -283,3 +292,47 @@ class TestProductCodebook:
         for _ in range(4):
             expected = np.kron(expected, p.probs)
         assert np.max(np.abs(ld.leaf_probs - expected)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_packed_itertools_product(self, d):
+        n = 1
+        while d**n <= 1 << 12:
+            cb = product_codebook(d, n)
+            assert cb.codes.shape == (d**n, 1) and cb.codes.flags.c_contiguous
+            assert np.array_equal(cb.codes, product_codes(d, n)) and np.array_equal(cb.lengths, np.full(d**n, n))
+            n += 1
+
+
+class TestChildren:
+    @settings(max_examples=200)
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.sampled_from([(), (1,), (2,), (3,)]),  # (): flat parents and values; else pieces leading
+        st.integers(min_value=0, max_value=300),  # under and over the 128 parent elements that one broadcast takes
+        st.sampled_from([(np.multiply, np.float64), (np.bitwise_or, np.uint64)]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_one_broadcast(self, d, lead, n, op, seed):
+        ufunc, dtype = op
+        rng = np.random.default_rng(seed)
+        draw = rng.random if dtype == np.float64 else lambda size: rng.integers(0, 1 << 64, size, dtype=np.uint64)
+        parents, values = draw((*lead, n)), draw((*lead, 1, d) if lead else (d,))
+        children = _children(ufunc, parents, values)
+        assert children.dtype == dtype and children.shape == (*lead, n * d) and children.flags.c_contiguous
+        assert np.array_equal(children, broadcast_children(ufunc, parents, values))
+
+
+class TestSymbolBits:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9, 255, 256, 257, 300])
+    def test_matches_the_piece_split_formula(self, d):
+        width = (d - 1).bit_length()
+        for j in range(200):
+            least = -(-(j + 1) * width // 64)
+            for pieces in range(least, least + 4):
+                assert np.array_equal(_symbol_bits.__wrapped__(d, j, pieces), numpy_symbol_bits(d, j, pieces))
+
+    def test_cached_bits_are_shared_and_read_only(self):
+        bits = _symbol_bits(3, 40, 2)
+        assert bits is _symbol_bits(3, 40, 2) and np.array_equal(bits, numpy_symbol_bits(3, 40, 2))
+        with pytest.raises(ValueError):
+            bits[1, 1] = 0

@@ -11,6 +11,7 @@ from rescode import (
     Pmf,
     StreamResult,
     build_tunstall,
+    codetree,
     leaf_distribution,
     round_size_down,
     tunstall,
@@ -306,11 +307,26 @@ class TestHeapOracle:
         assert peak <= 1.1 * book.table.nbytes
 
     def test_binary_build_stays_near_its_table_size(self):
-        # the benchmark sweep's largest build, which sets that workload's peak memory
+        # the benchmark sweep's largest build, which sets that workload's peak memory; each level's children are
+        # written symbol by symbol into one array, so no copy of a level is added (6.30 MiB when this was written)
+        codetree._symbol_bits.cache_clear()  # the cache's own arrays are counted too
         tracemalloc.start()
         try:
             ld = build_tunstall(Pmf([0.211, 0.789]), 1 << 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 6.5 * (1 << 20)
         assert peak <= 2.75 * ld.codebook.table.nbytes
+
+    def test_deep_narrow_build_keeps_few_symbol_bits(self):
+        # 4095 levels, each a cache miss of 2 x 64 words: a cache that kept them all would add 4 MiB (7.25 MiB without)
+        codetree._symbol_bits.cache_clear()
+        tracemalloc.start()
+        try:
+            build_tunstall(Pmf([0.999, 0.001]), 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * (1 << 20)
+        assert codetree._symbol_bits.cache_info().currsize <= 64
