@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import block, f2v, metrics, mtype, tunstall
+from . import block, codetree, f2v, metrics, mtype, tunstall
 from .probdist import Pmf, kl_divergence, variational_distance
 
 CSV_HEADER = "scheme,m,N,n_bits,q,rate,entropy_rate,hv_rate,kl_bits,kl_bound_bits,exp_len"
@@ -93,12 +93,12 @@ def cmd_curve(args, out) -> int:
     if args.extra_size and "f2v" not in schemes:
         raise ValueError("--extra-size sets f2v codebook sizes, but --schemes has no f2v")
 
-    groups = {}  # (scheme, size): the input lengths, ascending, that share its target
+    if "f2v" in schemes and any(not 0 <= n <= f2v.MAX_INPUT_BITS for _, n in pairs):
+        raise ValueError(f"f2v block lengths (--n-list) must be in [0, {f2v.MAX_INPUT_BITS}]")
+    groups = {}  # (scheme, size): the input lengths, ascending, that share its target; every size checked first
     for m, n in pairs if "b2b" in schemes else ():
-        groups.setdefault(("b2b", n), []).append(m)
+        groups.setdefault(("b2b", codetree.product_length(p.alphabet_size, n)), []).append(m)
     if "f2v" in schemes:
-        if any(not 0 <= n <= f2v.MAX_INPUT_BITS for _, n in pairs):
-            raise ValueError(f"f2v block lengths (--n-list) must be in [0, {f2v.MAX_INPUT_BITS}]")
         for m in m_values:
             sizes = sorted({2**n for pm, n in pairs if pm == m} | set(args.extra_size or ()))
             for size in sorted({tunstall.round_size_down(p.alphabet_size, size) for size in sizes}):
@@ -173,18 +173,16 @@ def cmd_validate(args, _out) -> int:
     if not args.tv_threshold >= 0:
         raise ValueError("--tv-threshold must be a number, at least 0")
     code, source = _code_and_bits(args)
-    input_bits = output_symbols = leaf_counts = 0
+    leaf_counts = np.zeros(len(code.codebook), dtype=np.int64)  # the one histogram: words and symbols follow from it
     for chunk in f2v.stream(code, source, args.symbols):
-        input_bits += chunk.input_bits
-        output_symbols += chunk.output_symbols
         leaf_counts += chunk.leaf_counts
+    n_words, output_symbols = int(leaf_counts.sum()), int(leaf_counts @ code.codebook.lengths)
     if output_symbols < args.symbols:
         print("bit source exhausted before the requested symbol count", file=sys.stderr)
         return 1
 
-    n_words = input_bits // code.m
     tv = variational_distance(leaf_counts / n_words, code.counts.probs())
-    rate = input_bits / output_symbols
+    rate = n_words * code.m / output_symbols
     kl_target = kl_divergence(code.counts, code.target.leaf_probs)
     print(f"codewords={n_words} output_symbols={output_symbols}")
     print(f"empirical_rate={rate!r} code_kl_bits={kl_target!r}")

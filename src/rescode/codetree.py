@@ -156,8 +156,8 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), p=p)
 
 
-def product_codebook(alphabet_size: int, n: int) -> Codebook:
-    """All D^n paths of length n, in lexicographic order."""
+def product_length(alphabet_size: int, n: int) -> int:
+    """n as an int, once D >= 2, n >= 1 and D^n <= MAX_PRODUCT_LEAVES; checked before a product codebook is built."""
     d, n = operator.index(alphabet_size), operator.index(n)
     if d < 2:
         raise ValueError("alphabet size must be at least 2")
@@ -165,6 +165,12 @@ def product_codebook(alphabet_size: int, n: int) -> Codebook:
         raise ValueError("block length must be at least 1")
     if n > MAX_PRODUCT_LEAVES.bit_length() or d**n > MAX_PRODUCT_LEAVES:  # d**n only for small n
         raise ValueError(f"product codebook would have D^n = {d}^{n} leaves, above the cap {MAX_PRODUCT_LEAVES}")
+    return n
+
+
+def product_codebook(alphabet_size: int, n: int) -> Codebook:
+    """All D^n paths of length n, in lexicographic order."""
+    d, n = operator.index(alphabet_size), product_length(alphabet_size, n)
     codes = np.zeros(1, dtype=np.uint64)
     for j in range(n):  # D^n <= 2^20 keeps n * ceil(log2 D) <= 24 bits: one piece
         codes = _children(np.bitwise_or, codes, _symbol_bits(d, j, 1)[:, 0])

@@ -98,10 +98,6 @@ class TypedPmf:
         object.__setattr__(self, "denominator", m)
         object.__setattr__(self, "counts", _frozen(c))
 
-    @property
-    def alphabet_size(self) -> int:
-        return int(self.counts.size)
-
     def probs(self) -> np.ndarray:
         """Real probabilities, computed on demand."""
         return self.counts / self.denominator

@@ -58,15 +58,12 @@ def build_tunstall(p: Pmf, num_codewords: int) -> LeafDistribution:
 def _leaves(pv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The N leaves in lexicographic order: packed paths (``Codebook.codes``), lengths, probabilities."""
     d, width = pv.size, (pv.size - 1).bit_length()
-    # The greedy split takes nodes in increasing (-prob, path) order, so its k
-    # internal nodes are the k smallest keys of the tree.  Each is at least as
-    # likely as the likeliest leaf, which has probability 1/N or more: a node
-    # below a cutoff under 1/N needs no children.
+    # The greedy split takes nodes in increasing (-prob, path) order, so its k internal nodes are the k smallest
+    # keys of the tree, each at least as likely as the likeliest leaf, which is at least Z/N.  The float leaf
+    # probabilities sum to Z >= 1 - H(D+2)2^-53 (Higham 2002, ch. 3), with the depth H <= (N-1)/(D-1) and N <= 2^24
+    # (MAX_LEAVES): Z >= 1 - 2^-27, so k grown nodes reach (1 - 1e-6)/N, and a node below it needs no children.
     k = (n - d) // (d - 1)
-    cutoff = (1 - 1e-9) / n
-    fronts, probs, kth = _grow(pv, k, cutoff)
-    if kth < cutoff:  # fewer than k grown nodes reach the cutoff: never seen; the running bound alone is safe
-        fronts, probs, kth = _grow(pv, k, 0.0)
+    fronts, probs, kth = _grow(pv, k, (1 - 1e-6) / n)
     internal = _internal(fronts, probs, k, kth)
     leaf = [~internal[0]] + [np.repeat(internal[j - 1][fronts[j]], d) & ~internal[j] for j in range(1, len(probs))]
     depth = max(j for j, level in enumerate(leaf, 1) if level.any())
@@ -112,9 +109,9 @@ def _grow(pv: np.ndarray, k: int, cutoff: float):
     """Per level, in lexicographic order: which nodes of the level above got children, and the node probabilities.
 
     Node i of level j is symbol i mod D below node fronts[j][i // D]; level 0's
-    front is the root.  A node gets children down to depth k + 1 while its
-    probability is at least the cutoff and the k-th largest generated so far,
-    a lower bound of the tree's.  The k-th largest of all nodes grown comes last.
+    front is the root.  A node gets children down to depth k + 1 while its probability
+    is at least the cutoff, which k nodes of the tree must reach, and the k-th largest
+    grown so far, a lower bound of the tree's.  The k-th largest of all nodes grown comes last.
     """
     fronts, probs = [np.zeros(1, dtype=np.int64)], [pv]
     best, fresh, count, bound = np.empty(0), [pv], pv.size, cutoff
@@ -129,6 +126,4 @@ def _grow(pv: np.ndarray, k: int, cutoff: float):
         probs.append(_children(np.multiply, probs[-1][front], pv))
         fresh.append(probs[-1])
         count += probs[-1].size
-    if count < k:  # fewer than k grew, and a negative partition index would count from the end
-        return fronts, probs, -np.inf
     return fronts, probs, np.partition(np.concatenate([best, *fresh]), count - k)[count - k] if k else np.inf

@@ -53,14 +53,15 @@ def heap_tunstall(pv, n: int):
     lexicographically smaller path first.
     """
     d = len(pv)
-    heap = [(-pv[a], (a,)) for a in range(d)]
+    symbol = [bytes((a,)) if d <= 256 else (a,) for a in range(d)]  # sort as tuples of ints do; faster to copy
+    heap = [(-pv[a], symbol[a]) for a in range(d)]
     heapq.heapify(heap)
     while len(heap) < n:
         neg, path = heapq.heappop(heap)
         for a in range(d):
-            heapq.heappush(heap, (neg * pv[a], path + (a,)))
+            heapq.heappush(heap, (neg * pv[a], path + symbol[a]))
     items = sorted((path, -neg) for neg, path in heap)
-    return tuple(path for path, _ in items), np.array([prob for _, prob in items], dtype=float)
+    return tuple(tuple(path) for path, _ in items), np.array([prob for _, prob in items], dtype=float)
 
 
 def paths(book) -> tuple[tuple[int, ...], ...]:
@@ -72,7 +73,9 @@ def paths(book) -> tuple[tuple[int, ...], ...]:
     width = (book.alphabet_size - 1).bit_length()
     weights = 1 << np.arange(width - 1, -1, -1)
     rows = np.unpackbits(book.codes.astype(">u8", order="C").view(np.uint8), axis=1)
-    return tuple(tuple((row[: n * width].reshape(n, width) @ weights).tolist()) for row, n in zip(rows, book.lengths))
+    if width > 1:  # every row's n * width bits lie in its first whole symbols
+        rows = rows[:, : rows.shape[1] // width * width].reshape(len(rows), -1, width) @ weights
+    return tuple(tuple(row[:n].tolist()) for row, n in zip(rows, book.lengths.tolist()))
 
 
 def flat_codebook(leaves, d: int) -> Codebook:

@@ -391,6 +391,14 @@ class TestValidate:
         assert code == 1
         assert out.strip().endswith("FAIL")
 
+    @pytest.mark.parametrize("data", [b"", bytes([0b00010100])], ids=["no-words", "two-words"])
+    def test_bits_file_exhaustion(self, capsys, tmp_path, data):
+        # the word count can be 0: the exhaustion check comes before the rate and TV divide by it
+        bits = tmp_path / "short.bin"
+        bits.write_bytes(data)
+        argv = ["validate", "--p", "0.8,0.2", "--m", "3", "--size", "3", "--symbols", "100", "--bits-file", str(bits)]
+        assert run(capsys, argv) == (1, "", "bit source exhausted before the requested symbol count\n")
+
     def test_alphabet_above_256(self, capsys):
         probs = ",".join([repr(1 / 300)] * 300)
         code, out, _ = run(capsys, ["validate", "--p", probs, "--m", "10", "--size", "300",
@@ -433,10 +441,12 @@ class TestUsageErrors:
         ["curve", "--p", "0.5,0.5", "--m", "4", "--n-list", ""],
         ["curve", "--p", "0.5,0.5", "--m", "x", "--n-list", "2"],
         ["curve", "--m", "4", "--n-list", "2"],
+        ["curve", "--p", "0.5,0.5", "--grid-table", "default", "--m", "6"],
+        ["curve", "--p", "0.5,0.5", "--n-list", "2"],
     ], ids=["unknown-scheme", "no-sizes", "b2b-extra-size-only", "b2b-extra-size-with-n-list", "unreachable-size",
             "no-symbols", "no-seed", "text-above-ten", "bad-q", "m-70", "missing-bits-file", "unwritable-out",
             "symbols-beyond-float", "validate-symbols-beyond-float", "tv-threshold-nan", "tv-threshold-negative",
-            "p-not-a-number", "empty-n-list", "m-not-an-integer", "missing-p"])
+            "p-not-a-number", "empty-n-list", "m-not-an-integer", "missing-p", "grid-table-with-m", "no-m"])
     def test_one_error_line_and_exit_2(self, capsys, tmp_path, argv):
         missing = str(tmp_path / "no-such-dir" / "x")
         with pytest.raises(SystemExit) as exc:
@@ -463,6 +473,17 @@ class TestUsageErrors:
                           "--schemes", "f2v"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: input length must be in [1, {f2v.MAX_INPUT_BITS}] bits\n"
+
+    def test_every_block_length_is_checked_before_any_build(self, capsys, monkeypatch):
+        # n = 20 is valid and would be built first, with 2^20 leaves; n = 21 must fail before it is
+        def refuse(*args):
+            raise AssertionError("a block code was built")
+
+        monkeypatch.setattr(block, "build_block_code", refuse)
+        assert exit_code(["curve", "--p", "0.211,0.789", "--m", "20", "--n-list", "20,21", "--schemes", "b2b"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: product codebook would have D^n = 2^21 leaves, "
+                                     f"above the cap {codetree.MAX_PRODUCT_LEAVES}\n")
 
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("argv", [

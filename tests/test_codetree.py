@@ -15,7 +15,7 @@ from rescode import (
     product_codebook,
     validate_complete,
 )
-from rescode.codetree import _children, _symbol_bits
+from rescode.codetree import _children, _symbol_bits, product_length
 from references import (
     broadcast_children,
     flat_codebook,
@@ -90,6 +90,16 @@ class TestValidateComplete:
         codes = np.array([[0], [1 << 63]], dtype=np.uint64)
         book = Codebook(alphabet_size=2, codes=codes, lengths=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="integer arrays"):
+            validate_complete(book)
+
+    @pytest.mark.parametrize("d, codes, lengths, message", [
+        (1, [[0], [0]], [1, 1], "alphabet size must be at least 2"),
+        (2, np.zeros((0, 1)), [], "leaf set must be nonempty"),
+        (2, [[0], [0], [1 << 63]], [0, 1, 1], "leaf paths must have length at least 1"),
+    ], ids=["D-1", "no-leaves", "length-0"])
+    def test_malformed_codebooks(self, d, codes, lengths, message):
+        book = Codebook(d, np.asarray(codes, dtype=np.uint64), np.asarray(lengths, dtype=np.int64))
+        with pytest.raises(ValueError, match=f"^{message}$"):
             validate_complete(book)
 
     # chain(100, 2)'s leaves in order are 0^100, 0^99 1, then 0^(100-k) 1 at row k: row 37 is 64 bits long
@@ -284,6 +294,17 @@ class TestProductCodebook:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             product_codebook(2, 21)
+
+    @pytest.mark.parametrize("d, n, message", [
+        (1, 3, "alphabet size must be at least 2"),
+        (2, 0, "block length must be at least 1"),
+    ], ids=["D-1", "n-0"])
+    def test_product_length_refuses(self, d, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            product_length(d, n)
+
+    def test_product_length_returns_n(self):
+        assert product_length(np.int64(3), np.int64(12)) == 12 and type(product_length(2, np.int64(20))) is int
 
     def test_matches_product_distribution(self):
         p = Pmf([0.3, 0.2, 0.5])

@@ -181,6 +181,10 @@ class TestGenerateStream:
         assert res.output_symbols == 4
         assert list(res.leaf_counts) == [1, 1, 0]
 
+    def test_negative_count_is_refused(self, running_code):
+        with pytest.raises(ValueError, match="^number of codewords must be nonnegative$"):
+            generate_stream(running_code, ArrayBitSource("000101"), -1)
+
     def test_exhaustion_reports_partial(self, running_code):
         res = generate_stream(running_code, ArrayBitSource("000101"), 3)
         assert list(res.symbols) == [0, 0, 0, 1]

@@ -14,6 +14,7 @@ from rescode import (
     min_type_order,
     variational_distance,
 )
+from rescode.probdist import as_prob_vector, checked_probs
 from references import lcm_min_type_order
 
 LN2 = math.log(2.0)
@@ -38,6 +39,11 @@ class TestPmf:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Pmf([1.2, -0.2])
+
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]], ids=["empty", "2-d"])
+    def test_rejects_anything_but_a_nonempty_vector(self, probs):
+        with pytest.raises(ValueError, match="^probability vector must be a nonempty 1-d sequence$"):
+            checked_probs(probs)
 
     def test_mu_is_min_support_prob(self):
         p = Pmf([0.5, 0.0, 0.5])
@@ -74,6 +80,15 @@ class TestTypedPmf:
     def test_counts_past_int64_name_the_range(self, denominator, counts):
         # an int64 cast would wrap 2^63 negative, and 1e19 overflows it
         with pytest.raises(ValueError, match="int64 range"):
+            TypedPmf(denominator, counts)
+
+    @pytest.mark.parametrize("denominator, counts, message", [
+        (0, [0, 0], "denominator must be a positive integer"),
+        (4, [], "counts must be a nonempty 1-d sequence"),
+        (4, [5, -1], "counts must be nonnegative"),
+    ], ids=["denominator-0", "no-counts", "negative-count"])
+    def test_rejects_malformed_types(self, denominator, counts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             TypedPmf(denominator, counts)
 
     def test_probs_on_demand(self):
@@ -133,6 +148,10 @@ class TestKlDivergence:
     def test_index_mismatch(self):
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.5], [0.5, 0.25, 0.25])
+
+    def test_a_matrix_is_not_a_probability_vector(self):
+        with pytest.raises(ValueError, match="^expected a 1-d probability vector$"):
+            as_prob_vector([[0.5, 0.5]])
 
     @given(st.integers(2, 6).flatmap(lambda k: st.tuples(dist(st.just(k)), dist(st.just(k)))))
     def test_nonnegative_and_positive_off_diagonal(self, pair):

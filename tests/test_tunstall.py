@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rescode import (
@@ -255,21 +255,24 @@ class TestHeapOracle:
         assert paths(ld.codebook) == leaves
         assert np.array_equal(ld.leaf_probs, leaf_probs)
 
-    @pytest.mark.parametrize(
-        "probs, n, factor", [((0.211, 0.789), 3072, 8), ((0.5, 0.3, 0.2), 1001, 8), ((0.999, 0.001), 300, 1000)]
-    )
-    def test_regrows_when_the_cutoff_is_too_high(self, probs, n, factor):
-        grow = tunstall._grow
-        cutoffs = []
+    @settings(max_examples=10, deadline=None)
+    @given(oracle_instances())
+    @example((Pmf([0.999, 0.001]), 4096))
+    @example((Pmf([0.02, 0.98]), 1 << 16))
+    def test_grown_nodes_reach_the_cutoff(self, instance):
+        # Tunstall balance: the k-th largest grown node is at least the likeliest leaf, which is at least
+        # Z/N for Z the float leaf sum, and Z is above 1 - 2^-27 up to MAX_LEAVES: one _grow call suffices
+        p, n = instance
+        grow, calls = tunstall._grow, []
 
-        def high_first(pv, k, cutoff):
-            cutoffs.append(cutoff)
-            return grow(pv, k, factor * cutoff)
+        def spy(pv, k, cutoff):
+            calls.append((cutoff, grown := grow(pv, k, cutoff)))
+            return grown
 
-        p = Pmf(list(probs))
-        with mock.patch.object(tunstall, "_grow", high_first):
+        with mock.patch.object(tunstall, "_grow", spy):
             ld = build_tunstall(p, n)
-        assert len(cutoffs) == 2 and cutoffs[1] == 0.0
+        [(cutoff, (_, _, kth))] = calls
+        assert kth >= ld.leaf_probs.max() >= math.fsum(ld.leaf_probs) / n >= (1 - 2**-27) / n >= cutoff
         leaves, leaf_probs = heap_tunstall(p.probs, n)
         assert paths(ld.codebook) == leaves
         assert np.array_equal(ld.leaf_probs, leaf_probs)
