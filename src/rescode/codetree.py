@@ -149,9 +149,14 @@ def leaf_distribution(p: Pmf, codebook: Codebook) -> LeafDistribution:
                          f"codebook has {codebook.alphabet_size}")
     if not p.has_full_support():
         raise ValueError("branching distribution must have full support; drop zero-probability symbols first")
-    # the left fold of acc *= pv[s] along each path, one symbol position at a time; paths that ended are masked out
-    probs, width, short = np.ones(len(codebook)), (p.alphabet_size - 1).bit_length(), codebook.lengths.min()
-    for j, symbols in enumerate(_fields(codebook.codes, width, codebook.max_len())):
+    # The left fold of acc *= pv[s] along each path: the first t symbols, top bits of piece 0, index a table of all
+    # 2^(t * width) <= N folds over pv padded to 2^width; later positions fold one at a time, ended paths masked out.
+    width, short = (p.alphabet_size - 1).bit_length(), int(codebook.lengths.min())
+    t, table = min(short, (len(codebook).bit_length() - 1) // max(width, 1)), np.ones(1)  # D = 1 has 0-bit fields
+    for _ in range(t):  # a field >= D never occurs, so the pad is never read
+        table = _children(np.multiply, table, np.resize(p.probs, 1 << width))
+    probs = np.take(table, (codebook.codes[:, 0] >> np.uint64(64 - t * width)).view(np.int64))
+    for j, symbols in enumerate(_fields(codebook.codes, width, codebook.max_len(), t), t):
         np.multiply(probs, np.take(p.probs, symbols), out=probs, where=j < short or codebook.lengths > j)
     return LeafDistribution(codebook=codebook, leaf_probs=_frozen(probs), p=p)
 
@@ -214,9 +219,9 @@ def _unpack(book: Codebook) -> np.ndarray:
     return out
 
 
-def _fields(codes: np.ndarray, width: int, count: int):
-    """Symbols 0 to count - 1 of the paths in `codes` ([rows, pieces]), int64 arrays that numpy indexes with as is."""
-    for t in range(count):
+def _fields(codes: np.ndarray, width: int, count: int, start: int = 0):
+    """Symbols start to count - 1 of the paths in `codes` ([rows, pieces]), int64 arrays that numpy indexes with as is."""
+    for t in range(start, count):
         a, o = divmod(t * width, 64)
         word = codes[:, a] << np.uint64(o)
         if o + width > 64:

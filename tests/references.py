@@ -19,6 +19,8 @@ children with one pass per symbol and caches each symbol position's bits
 (broadcast_children is the one-broadcast expansion, numpy_symbol_bits the
 piece-split formula the build first used), and product_codebook packs its codes
 level by level (product_codes packs each path as one Python int).
+leaf_distribution folds the symbols every path has through one table of
+their products (column_leaf_probs folds every position as a column).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from rescode import Codebook, CodebookError, TypedPmf, pack_codewords
+from rescode.codetree import _fields
 from rescode.probdist import as_prob_vector, checked_probs
 
 # The widest input length whose 2^m words the tests enumerate one by one.
@@ -161,6 +164,15 @@ def loop_leaf_probs(pv, leaves) -> np.ndarray:
         for s in x:
             acc *= pv[s]
         probs[i] = acc
+    return probs
+
+
+def column_leaf_probs(p, codebook) -> np.ndarray:
+    """Each leaf's probability under p, folded one symbol position at a time over the packed codes, with no table."""
+    # the left fold of acc *= pv[s] along each path, one symbol position at a time; paths that ended are masked out
+    probs, width, short = np.ones(len(codebook)), (p.alphabet_size - 1).bit_length(), codebook.lengths.min()
+    for j, symbols in enumerate(_fields(codebook.codes, width, codebook.max_len())):
+        np.multiply(probs, np.take(p.probs, symbols), out=probs, where=j < short or codebook.lengths > j)
     return probs
 
 

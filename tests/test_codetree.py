@@ -1,9 +1,10 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rescode import (
@@ -15,9 +16,11 @@ from rescode import (
     product_codebook,
     validate_complete,
 )
+from rescode import codetree
 from rescode.codetree import _children, _symbol_bits, product_length
 from references import (
     broadcast_children,
+    column_leaf_probs,
     flat_codebook,
     loop_leaf_probs,
     numpy_symbol_bits,
@@ -25,6 +28,7 @@ from references import (
     product_codes,
     tuple_validate_complete,
 )
+from test_tunstall import oracle_instances
 
 
 def chain(depth: int, d: int) -> list:
@@ -33,6 +37,25 @@ def chain(depth: int, d: int) -> list:
     In sorted order, neighbours first differ at every depth from depth - 1 up to 0.
     """
     return [(0,) * j + (a,) for j in range(depth - 1) for a in range(1, d)] + [(0,) * (depth - 1) + (a,) for a in range(d)]
+
+
+@st.composite
+def branching_codebooks(draw, d: int):
+    """A full-support law over D symbols and a product or ragged codebook for it.
+
+    Product codebooks have D^n <= 2^14 leaves; ragged ones grow by random leaf
+    splits from the depth-s product tree, so their shortest path is s, 1 to 6.
+    """
+    probs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(d)) * 0.9 + 0.1 / d
+    p = Pmf(probs / probs.sum())
+    if draw(st.booleans()):
+        return p, product_codebook(d, draw(st.integers(1, max(n for n in range(1, 15) if d**n <= 1 << 14))))
+    shortest = draw(st.integers(1, max(s for s in range(1, 7) if d**s <= 1 << 12)))
+    leaves = list(itertools.product(range(d), repeat=shortest))
+    for i in draw(st.lists(st.integers(0, 1 << 16), max_size=20)):
+        x = leaves.pop(i % len(leaves))
+        leaves.extend(x + (a,) for a in range(d))
+    return p, flat_codebook(leaves, d)
 
 
 class TestValidateComplete:
@@ -243,11 +266,64 @@ class TestLeafDistribution:
             ((0.211, 0.789), product_codebook(2, 16)),
             ((0.3, 0.2, 0.5), product_codebook(3, 7)),
             ((0.211, 0.789), build_tunstall(Pmf([0.211, 0.789]), 3072).codebook),
+            ((0.211, 0.789), product_codebook(2, 20)),  # the table folds every position
+            ((0.3, 0.2, 0.5), product_codebook(3, 12)),  # 9 of 12 positions: 4^9 <= 3^12 < 4^10
+            (np.arange(1, 258) / 33153, product_codebook(257, 2)),  # 9-bit fields, one in the table
         ],
     )
     def test_bit_identical_to_the_per_leaf_fold(self, probs, codebook):
         p = Pmf(list(probs))
-        assert np.array_equal(leaf_distribution(p, codebook).leaf_probs, loop_leaf_probs(p.probs, paths(codebook)))
+        leaf_probs = leaf_distribution(p, codebook).leaf_probs
+        assert np.array_equal(leaf_probs, column_leaf_probs(p, codebook))
+        if len(codebook) <= 1 << 17:  # the per-leaf fold runs in Python: 3.6 s on the 2^20 code
+            assert np.array_equal(leaf_probs, loop_leaf_probs(p.probs, paths(codebook)))
+
+    @pytest.mark.parametrize("d", [*range(2, 10), 255, 256, 257])  # 255 to 257: 8- and 9-bit fields
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_bit_identical_to_the_column_fold(self, d, data):
+        p, codebook = data.draw(branching_codebooks(d))
+        assert leaf_distribution(p, codebook).leaf_probs.tobytes() == column_leaf_probs(p, codebook).tobytes()
+
+    @settings(max_examples=30)
+    @given(oracle_instances())
+    @example((Pmf([0.999, 0.001]), 1 << 12))  # 64 pieces
+    def test_tunstall_codebooks_bit_identical_to_the_column_fold(self, instance):
+        p, codebook = instance[0], build_tunstall(*instance).codebook
+        assert leaf_distribution(p, codebook).leaf_probs.tobytes() == column_leaf_probs(p, codebook).tobytes()
+
+    # t = min(shortest length, floor(log2 N) // ceil(log2 D)) positions go through the table; the rest are columns
+    @pytest.mark.parametrize("codebook, t", [
+        (product_codebook(2, 20), 20),
+        (product_codebook(3, 12), 9),
+        (product_codebook(257, 2), 1),
+        (build_tunstall(Pmf([0.211, 0.789]), 1 << 16).codebook, 7),
+        (flat_codebook([(0,), (1,), (2,)], 3), 0),
+    ], ids=["2^20", "3^12", "257^2", "tunstall", "N-below-2^width"])
+    def test_the_table_takes_every_position_its_size_allows(self, monkeypatch, codebook, t):
+        starts, fields = [], codetree._fields
+        monkeypatch.setattr(codetree, "_fields", lambda codes, width, count, start=0: starts.append(start) or fields(
+            codes, width, count, start))
+        leaf_distribution(Pmf(np.full(codebook.alphabet_size, 1 / codebook.alphabet_size)), codebook)
+        assert starts == [t]
+
+    @pytest.mark.parametrize("d, n, t", [(2, 20, 20), (3, 12, 9)])
+    def test_peak_memory_is_three_columns_and_the_table(self, d, n, t):
+        # a table of 2^(t * width) <= N folds: a t bounded by the shortest length alone would give the 3^12-leaf
+        # code a 4^12-entry (128 MiB) table
+        book, p = product_codebook(d, n), Pmf(np.full(d, 1 / d))
+        tracemalloc.start()
+        try:
+            leaf_distribution(p, book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(book) * 8 + 8 * (1 << t * (d - 1).bit_length()) + (1 << 16)
+
+    def test_one_symbol_alphabet(self):
+        # 0-bit fields: no position needs a table, and the one leaf has probability 1
+        book = Codebook(1, np.zeros((1, 1), dtype=np.uint64), np.array([3]))
+        assert leaf_distribution(Pmf([1.0]), book).leaf_probs.tolist() == [1.0]
 
     def test_keeps_its_branching_law(self):
         p = Pmf([0.8, 0.2])
