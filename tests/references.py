@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from rescode import Codebook, CodebookError, TypedPmf, pack_codewords
@@ -215,6 +216,29 @@ def heap_quantize(q, m_units: int):
         if counts[a] < cap[a]:
             heapq.heappush(heap, (marginal(a, int(counts[a])), a))
     return TypedPmf(m, counts)
+
+
+def exact_exchange_ok(q, m_units: int, counts, slack: float = 0.0) -> bool:
+    """True if counts sum to M under the caps floor(M q) + 1, in exact terms, and no unit can move to a cheaper atom.
+
+    Unit c on an atom costs c ln c - (c-1) ln(c-1) - ln(M q_a), with M q_a exact and the logarithms to 50 digits.
+    D(c/M || q) is separable and convex, so such counts minimize it exactly when every unit handed out costs at
+    most what any atom's next unit below its cap would; with a slack, at most that plus the slack.
+    """
+    m, c = int(m_units), [int(v) for v in counts]
+    mq = [m * Fraction(float(v)) for v in checked_probs(as_prob_vector(q))]
+    cap = [math.floor(v) + 1 if v else 0 for v in mq]
+    if len(c) != len(mq) or sum(c) != m or not all(0 <= a <= b for a, b in zip(c, cap)):
+        return False
+    with mpmath.workdps(50):
+        log_mq = [mpmath.log(mpmath.mpf(v.numerator) / v.denominator) if v else None for v in mq]
+
+        def cost(k, a):  # unit k >= 1 on atom a
+            return k * mpmath.log(k) - (k - 1) * mpmath.log(max(k - 1, 1)) - log_mq[a]
+
+        last = max((cost(k, a) for a, k in enumerate(c) if k > 0), default=-mpmath.inf)
+        nxt = min((cost(k + 1, a) for a, k in enumerate(c) if k < cap[a]), default=mpmath.inf)
+        return bool(last <= nxt + slack)
 
 
 @lru_cache(maxsize=32)

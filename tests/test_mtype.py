@@ -1,10 +1,12 @@
 import functools
 import hashlib
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rescode import (
@@ -17,7 +19,7 @@ from rescode import (
     product_codebook,
     quantize,
 )
-from references import brute_force_quantize, heap_quantize
+from references import brute_force_quantize, exact_exchange_ok, heap_quantize
 
 
 def random_target(rng, max_support=5):
@@ -105,6 +107,16 @@ class TestQuantize:
         # the caps floor(M q) + 1 hold 2^40 - 109 units, short of M = 2^40
         with pytest.raises(ValueError, match="too far from 1"):
             quantize([1 - 1e-10], 1 << 40)
+
+    def test_subnormal_atoms_take_the_units_the_caps_leave(self):
+        # sum(q) is 1e-9 short, so the large atom's cap leaves 1099 units to 1200 distinct values of M q near
+        # 1e-298: the bisection climbs to costs near 686, where exp(lam - 1 + ln(M q)) overflows without a clamp
+        q, m = np.concatenate(([1 - 1e-9], np.linspace(1e-310, 2e-310, 1200))), 1 << 40
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = quantize(q, m).counts
+        assert counts[1:].tolist() == [0] * 101 + [1] * 1099
+        assert exact_exchange_ok(q, m, counts)
 
     def test_bound_enforced_on_lopsided_target(self):
         # the unconstrained KL optimum loads 16/16 on the first atom here,
@@ -335,6 +347,12 @@ def stable_costs(c, mq):
     return np.log(c + 1) + c * np.log1p(1 / np.maximum(c, 1)) - np.log(mq)
 
 
+def cost_ulps(q, m):
+    """A few ulps of the unit costs' size: how far apart two units' float costs can order them wrongly."""
+    mq = m * np.asarray(q)
+    return 4 * np.finfo(float).eps * (1 + np.abs(np.log(mq[mq > 0])).max() + math.log(m + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def certificate_target(name):
     if name == "3-atom":
@@ -359,8 +377,82 @@ class TestOptimalityCertificate:
         # atom's next unit would, within a few ulps of the costs' size.
         last = stable_costs(c[c > 0] - 1, mq[c > 0])
         nxt = stable_costs(c[c < cap], mq[c < cap])
-        ulps = 4 * np.finfo(float).eps * (1 + np.abs(np.log(mq)).max() + math.log((1 << m) + 1))
-        assert last.max() <= nxt.min() + ulps
+        assert last.max() <= nxt.min() + cost_ulps(q, 1 << m)
+
+
+def exact_regime_edge(q, scale):
+    """The M at which the largest cap floor(M q) + 1 times quantize's tol is about 0.1 * scale: 0.1 is the edge
+    past which the quantizer lets numpy's counts stand."""
+    m = 1 << 40
+    for _ in range(4):  # tol moves with ln M: a fixed point is reached in a few steps
+        mq = m * q[q > 0]
+        tol = 8 * np.finfo(float).eps * (2 + np.abs(np.log(mq)).max() + math.log(m + 1))
+        m = int(0.1 * scale / (tol * q.max()))
+    return m
+
+
+def closed_form_y(q, m, a):
+    """x t + 1/2 in exact arithmetic for atom a, as quantize's closed form takes it: x = M q_a and
+    t = (M - 1.5 atoms) / sum(x), over the float products M q."""
+    x = [Fraction(v) for v in (m * np.asarray(q)).tolist() if v > 0]
+    t = (m - Fraction(3, 2) * len(x)) / sum(x)
+    return Fraction(float(m * q[a])) * t + Fraction(1, 2), t
+
+
+@st.composite
+def closed_form_edges(draw):
+    """(q, M) on the edges of quantize's closed-form start, with one value on up to 300 atoms.
+
+    "round": that value's x t + 1/2 within 1e-6 of an integer, where ceil(x t + 1/2) meets the rounding of t.
+    The value is set first, then a last atom of M q between 1 and 2 moves sum(x), and so t, in fine steps.
+    "edge": the largest cap times tol drawn either side of 0.1, where the closed form gives way to the bisection.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mult, others = draw(st.integers(1, 300)), rng.dirichlet(np.ones(draw(st.integers(1, 4))))
+    if draw(st.sampled_from(["round", "edge"])) == "edge":
+        q = np.concatenate((np.repeat(others[0] / mult, mult), others[1:]))
+        q /= q.sum()
+        return q, exact_regime_edge(q, draw(st.floats(0.8, 1.2)))
+    bits = draw(st.integers(max(10, (8 * mult).bit_length()), 44))
+    m = draw(st.integers(1 << bits - 1, 1 << bits))
+    free = m - 1.5 * (mult + others.size + 1)
+    level = max(1, int(draw(st.floats(0.1, 0.9)) * free / mult))
+    goal = level + Fraction(draw(st.floats(-9e-7, 9e-7)))
+    q_a, q_c = (level - 0.5) / free, 1.5 / m
+    for _ in range(3):  # x_a to within its ulp
+        q = np.concatenate((np.repeat(q_a, mult), others * (1 - mult * q_a - q_c), [q_c]))
+        y, t = closed_form_y(q, m, 0)
+        q_a += float(goal - y) / float(t) / m
+    for _ in range(3):  # the rest through the last atom: y falls by about q_a per unit of x_c
+        y, t = closed_form_y(q, m, 0)
+        q[-1] += float(y - goal) / (q_a * float(t)) / m
+    assume(abs(closed_form_y(q, m, 0)[0] - level) <= 1e-6)
+    return rng.permutation(q), m
+
+
+class TestExactOptimality:
+    """Counts checked in 50-digit arithmetic where the heap's float costs cancel, and against the heap below that."""
+
+    def test_counts_past_the_exact_regime(self):
+        # Past counts of about 1e12, math.log keys round by about 1e-14, as much as consecutive units of one atom
+        # differ (1/c is 7e-15 on atom 2).  These counts are exactly optimal; moving one unit from atom 2 to atom 1
+        # is not.
+        q = [0.5681799556996339, 0.3592031226908148, 0.0568431771489486, 0.015773744460602757]
+        m = 2523073516618639
+        counts = quantize(q, m).counts
+        assert counts.tolist() == [1433559798899298, 906295885947910, 143419514864974, 39798316906457]
+        assert exact_exchange_ok(q, m, counts)
+        assert not exact_exchange_ok(q, m, counts + [0, 1, -1, 0])
+
+    @settings(max_examples=60)
+    @given(closed_form_edges())
+    def test_counts_on_the_closed_form_edges(self, target):
+        q, m = target
+        counts = quantize(q, m).counts
+        if m <= 1 << 16:
+            assert np.array_equal(counts, heap_quantize(q, m).counts)
+        else:  # float costs can order two atoms' units wrongly only where they lie within a few ulps
+            assert exact_exchange_ok(q, m, counts, cost_ulps(q, m))
 
 
 class TestOptimality:

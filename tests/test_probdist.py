@@ -69,6 +69,8 @@ class TestTypedPmf:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             TypedPmf(4, [2.5, 1.5])
+        t = TypedPmf(4, [2.0, 2.0])  # integer-valued floats are counts
+        assert t.counts.dtype == np.int64 and t.counts.tolist() == [2, 2]
 
     def test_sum_is_exact_past_int64(self):
         # an int64 sum wraps (2^63 - 1) * 2 + 4 around to 2
